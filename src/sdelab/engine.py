@@ -12,6 +12,10 @@ trajectory is a pure function of ``(model, initial segment, config,
 master_seed, path_index)`` and coupled runs consume identical noise by
 sharing the stream.  Paths that leave the divergence guard are truncated and
 flagged, never raised.
+
+The guard predicate and the neutral newest-point solver below act on rows of
+paths, so this per-path engine and the batch kernel in
+:mod:`sdelab.ensemble` share them: one path is a block of one row.
 """
 
 from __future__ import annotations
@@ -170,12 +174,6 @@ class _UniformSegView:
             return float(np.abs(win).max())
         return float(np.sqrt((win ** 2).sum(axis=1)).max())
 
-    def to_segment(self):
-        k = self.hist_steps
-        grid = np.linspace(-self.tau, 0.0, k + 1)
-        vals = self.states[self.head - k:self.head + 1].copy()
-        return Segment(SegmentKind.CONTINUOUS_LINEAR, grid, vals)
-
 
 class _CadlagSegView:
     """Segment protocol over a non-uniform cadlag node history (jump class)."""
@@ -205,6 +203,48 @@ class _CadlagSegView:
         if win.shape[1] == 1:
             return float(np.abs(win).max())
         return float(np.sqrt((win ** 2).sum(axis=1)).max())
+
+
+# ---------------------------------------------------------------------------
+# the stepping contract shared with the batch kernel
+# ---------------------------------------------------------------------------
+
+def _out_of_guard(x, guard):
+    """Which state rows (last axis) are non-finite or reach the guard.
+
+    Written as the negation of ``max |x| < guard`` so that a NaN or an
+    infinite entry marks its row as out.
+    """
+    return ~(np.abs(x).max(axis=-1) < guard)
+
+
+def _solve_newest(newest, y, g_of, done, cfg: SimConfig, t: float) -> int:
+    """Solve ``x = y + G(x)`` for the newest point of each row of paths.
+
+    ``newest`` (rows x n) holds the starting iterate and receives the
+    solution in place; ``g_of()`` evaluates G on every row with the current
+    newest points.  Rows flagged in ``done`` (diverged paths) are left as
+    they are.  Each other row takes iterates until one moved by at most
+    ``cfg.fixed_point_tol`` and keeps that iterate.  A row whose residual
+    turns NaN (its iterate left the floats) stops too, keeping a non-finite
+    iterate for the guard to flag.  Returns the number of sweeps; raises
+    :class:`FixedPointError` after ``cfg.fixed_point_max_iter`` sweeps with
+    a row still moving.
+    """
+    moving = ~done[:, None]
+    it = 0
+    while np.count_nonzero(moving):
+        if it == cfg.fixed_point_max_iter:
+            raise FixedPointError(
+                f"neutral fixed point stalled at t={t:.6g}: "
+                f"{np.count_nonzero(moving)} path(s) still moving after {it} "
+                f"iterations (residual {float(res[moving].max()):.3g})")
+        it += 1
+        x_new = y + g_of()
+        res = np.abs(x_new - newest).max(axis=-1, keepdims=True)
+        np.copyto(newest, x_new, where=moving)
+        moving &= res > cfg.fixed_point_tol
+    return it
 
 
 # ---------------------------------------------------------------------------
@@ -310,10 +350,14 @@ def _simulate_continuous(model, xi, cfg, stream, neutral: bool) -> Trajectory:
     diffusion = model.diffusion
     guard = cfg.divergence_guard
 
-    g_map = model.neutral_map if neutral else None
     max_iters = 0
     if neutral:
+        g_map = model.neutral_map
         y = states[k_hist] - g_map(view)
+
+        def g_of():
+            return g_map(view)
+        not_done = np.zeros(1, dtype=bool)
 
     end = k_hist + n_steps
     diverged = False
@@ -330,23 +374,12 @@ def _simulate_continuous(model, xi, cfg, stream, neutral: bool) -> Trajectory:
             y = y + incr
             view.head = head + 1
             states[head + 1] = states[head]
-            it = 0
-            while True:
-                it += 1
-                x_new = y + g_map(view)
-                res = float(np.abs(x_new - states[head + 1]).max())
-                states[head + 1] = x_new
-                if res <= cfg.fixed_point_tol:
-                    break
-                if it >= cfg.fixed_point_max_iter:
-                    raise FixedPointError(
-                        f"neutral fixed point stalled at t={t + h:.6g} (residual {res:.3g})")
+            it = _solve_newest(states[head + 1:head + 2], y, g_of, not_done, cfg, t + h)
             if it > max_iters:
                 max_iters = it
         else:
             states[head + 1] = states[head] + incr
-        x = states[head + 1]
-        if not np.all(np.isfinite(x)) or np.abs(x).max() >= guard:
+        if _out_of_guard(states[head + 1], guard):
             diverged = True
             diverged_at = (k + 1) * h
             end = head + 1
@@ -446,8 +479,7 @@ def _simulate_jump(model, xi, cfg, stream) -> Trajectory:
         if j is not None:
             view.head = i + 1  # newest point is the left limit at the epoch
             states[i + 1] = x_pre + jump_coeff(float(times[i + 1]), view, float(marks[j]))
-        x = states[i + 1]
-        if not np.all(np.isfinite(x)) or np.abs(x).max() >= guard:
+        if _out_of_guard(states[i + 1], guard):
             diverged = True
             diverged_at = float(times[i + 1])
             end = i + 1

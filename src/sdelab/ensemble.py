@@ -1,23 +1,32 @@
 """Ensemble runners behind the rate and ergodicity estimators.
 
-Two engines produce the same per-path numbers:
+Two routes produce the same per-path numbers:
 
 * a vectorized kernel that steps all paths of an ensemble simultaneously on a
   rolling window buffer -- available for the built-in linear families of the
   continuous classes, where the coefficient reads reduce to array gathers;
 * a generic fallback that simulates paths one by one through
   :func:`sdelab.engine.simulate` -- used for hand-rolled coefficients and for
-  the jump class (whose exact-epoch grids differ per path).
+  the jump class (whose exact-epoch grids differ per path).  It runs them on
+  ``cfg.threads`` threads.
 
 Because every path's noise is addressed by ``(master_seed, path_index, step,
-channel)``, the two engines consume identical randomness, and for the
+channel)``, the two routes consume identical randomness, and for the
 one-dimensional built-ins they produce bitwise-identical states (the batch
-arithmetic mirrors the per-path expressions operation for operation).
+arithmetic mirrors the per-path expressions operation for operation).  Both
+routes step by one contract from :mod:`sdelab.engine`: one guard predicate,
+one newest-point solver for the neutral class, and one divergence rule --
+a path (or coupled pair) is diverged from its first step out of the guard,
+and observers never see it at or after that step.  The batch kernel writes
+NaN into the rows of diverged paths; the per-path route stops feeding them.
+:func:`refuse_divergence` is the one rule by which estimators refuse an
+ensemble in which more than 1% of the paths diverged.
 
 Estimators talk to the runners through observers: an observer is notified
 with the trailing ``tau``-window of the state after every step and reduces it
 immediately (record at chosen steps, accumulate time averages), so long
-horizons never materialize full ensembles in memory.
+horizons never materialize full ensembles in memory.  Coupled runs pass two
+windows, one per initial segment.
 """
 
 from __future__ import annotations
@@ -27,16 +36,15 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
-from .errors import DomainError, FixedPointError
+from .errors import DivergenceError, DomainError
 from .models import (
-    Distributed,
     LinearRetardedDescriptor,
     ModelClass,
     NeutralLinearDescriptor,
     PointConstant,
     PointVariable,
 )
-from .engine import SimConfig, simulate, steps_per_window
+from .engine import SimConfig, _out_of_guard, _solve_newest, simulate, steps_per_window
 from .noise import NoiseStream
 from .paths import Segment, evaluate
 
@@ -45,11 +53,14 @@ __all__ = [
     "IntegralAccumulator",
     "EnsembleOutcome",
     "run_ensemble",
+    "refuse_divergence",
     "supports_batch",
 ]
 
+# a chunk holds at most _CHUNK_STEPS steps and _CHUNK_PATH_STEPS path-steps of
+# noise, so wide ensembles take shorter chunks instead of more memory
 _CHUNK_STEPS = 1024
-_MAX_BATCH_PATHS = 4096
+_CHUNK_PATH_STEPS = 4096 * _CHUNK_STEPS
 
 
 class WindowRecorder:
@@ -57,7 +68,8 @@ class WindowRecorder:
 
     ``fns`` maps a name to a callable taking the trailing window (shape
     ``(..., W, n)``, or two such windows for coupled runs) and returning a
-    scalar per path.  Missing entries (diverged/truncated paths) stay NaN.
+    scalar per path.  Entries at and after a path's first diverged step are
+    NaN on both routes.
     """
 
     def __init__(self, record_steps, fns, n_paths):
@@ -138,19 +150,6 @@ class IntegralAccumulator:
         return self.block_counts.sum(axis=1)
 
 
-class _MultiObserver:
-    def __init__(self, observers):
-        self.observers = list(observers)
-
-    def see_batch(self, step, *wins):
-        for ob in self.observers:
-            ob.see_batch(step, *wins)
-
-    def see_path(self, path, step, *wins):
-        for ob in self.observers:
-            ob.see_path(path, step, *wins)
-
-
 class EnsembleOutcome:
     """Bookkeeping shared by both engines: who diverged, and when."""
 
@@ -163,6 +162,19 @@ class EnsembleOutcome:
     @property
     def n_diverged(self) -> int:
         return int(self.diverged.sum())
+
+
+def refuse_divergence(outcome: EnsembleOutcome, what: str) -> None:
+    """Raise :class:`DivergenceError` if more than 1% of the paths diverged.
+
+    Estimators drop diverged paths; past that share the survivors are too
+    biased a sample to report on.
+    """
+    if outcome.n_diverged / outcome.n_paths > 0.01:
+        raise DivergenceError(
+            f"{outcome.n_diverged} of {outcome.n_paths} paths diverged "
+            f"during {what}; estimates would be meaningless",
+            n_diverged=outcome.n_diverged, n_total=outcome.n_paths)
 
 
 def supports_batch(model) -> bool:
@@ -214,14 +226,6 @@ def _delayed_batch(buf, head, delay, t, h, tau):
 
 
 def _run_batch(model, xi, cfg, n_paths, observer, path_offset, eta):
-    outcome = EnsembleOutcome(n_paths)
-    for lo in range(0, n_paths, _MAX_BATCH_PATHS):
-        hi = min(lo + _MAX_BATCH_PATHS, n_paths)
-        _run_batch_block(model, xi, cfg, lo, hi, observer, path_offset, eta, outcome)
-    return outcome
-
-
-def _run_batch_block(model, xi, cfg, lo, hi, observer, path_offset, eta, outcome):
     desc = model.descriptor
     neutral = isinstance(desc, NeutralLinearDescriptor)
     h = cfg.step
@@ -230,20 +234,18 @@ def _run_batch_block(model, xi, cfg, lo, hi, observer, path_offset, eta, outcome
     m = model.brownian_dim
     k_hist = steps_per_window(tau, h, "tau")
     n_steps = steps_per_window(cfg.horizon, h, "horizon")
-    n_blk = hi - lo
-    coupled = eta is not None
 
-    cap = k_hist + 1 + _CHUNK_STEPS
+    chunk = max(1, min(_CHUNK_STEPS, _CHUNK_PATH_STEPS // n_paths))
+    cap = k_hist + 1 + chunk
     grid = np.linspace(-tau, 0.0, k_hist + 1)
 
     def init_buf(seg):
-        buf = np.empty((n_blk, cap, n))
+        buf = np.empty((n_paths, cap, n))
         hist = np.stack([evaluate(seg, th) for th in grid])
         buf[:, :k_hist + 1] = hist[None, :, :]
         return buf
 
-    buf_a = init_buf(xi)
-    buf_b = init_buf(eta) if coupled else None
+    bufs = [init_buf(seg) for seg in ([xi] if eta is None else [xi, eta])]
     head = k_hist
 
     sig = desc.sigma0
@@ -251,30 +253,24 @@ def _run_batch_block(model, xi, cfg, lo, hi, observer, path_offset, eta, outcome
     kappa = desc.kappa if neutral else 0.0
     guard = cfg.divergence_guard
 
-    diverged = np.zeros(n_blk, dtype=bool)
-    first_bad = np.full(n_blk, np.nan)
+    outcome = EnsembleOutcome(n_paths)
+    diverged = outcome.diverged
 
-    def win(buf):
-        return buf[:, head - k_hist:head + 1]
+    def wins():
+        return [buf[:, head - k_hist:head + 1] for buf in bufs]
 
     if neutral:
-        def g_of(buf):
-            return kappa * _delayed_batch(buf, head, delay, 0.0, h, tau)
-        y_a = buf_a[:, head] - g_of(buf_a)
-        y_b = (buf_b[:, head] - g_of(buf_b)) if coupled else None
+        ys = [buf[:, head] - kappa * _delayed_batch(buf, head, delay, 0.0, h, tau)
+              for buf in bufs]
 
-    if coupled:
-        observer.see_batch(0, win(buf_a), win(buf_b))
-    else:
-        observer.see_batch(0, win(buf_a))
+    observer.see_batch(0, *wins())
 
-    streams = [NoiseStream(cfg.master_seed, path_offset + lo + p) for p in range(n_blk)]
-    max_fp = 0
+    streams = [NoiseStream(cfg.master_seed, path_offset + p) for p in range(n_paths)]
 
-    for k0 in range(0, n_steps, _CHUNK_STEPS):
-        span = min(_CHUNK_STEPS, n_steps - k0)
+    for k0 in range(0, n_steps, chunk):
+        span = min(chunk, n_steps - k0)
         if m > 0:
-            dw = np.empty((n_blk, span, m))
+            dw = np.empty((n_paths, span, m))
             for p, st in enumerate(streams):
                 dw[p] = st.gaussian_block(k0, span, m)
             dw *= math.sqrt(h)
@@ -282,89 +278,45 @@ def _run_batch_block(model, xi, cfg, lo, hi, observer, path_offset, eta, outcome
             k = k0 + j
             if head + 1 >= cap:
                 shift = head - k_hist
-                buf_a[:, :k_hist + 1] = buf_a[:, shift:head + 1]
-                if coupled:
-                    buf_b[:, :k_hist + 1] = buf_b[:, shift:head + 1]
+                for buf in bufs:
+                    buf[:, :k_hist + 1] = buf[:, shift:head + 1]
                 head = k_hist
             t = k * h
 
-            def step_one(buf, y):
+            for i, buf in enumerate(bufs):
                 b = -a_coef * buf[:, head] + b_coef * _delayed_batch(buf, head, delay, t, h, tau)
                 incr = b * h + dw[:, j] @ sig.T if m > 0 else b * h
-                if not neutral:
-                    nxt = buf[:, head] + incr
-                    buf[:, head + 1] = nxt
-                    return y, 0
-                y = y + incr
-                # contraction fixed point for the newest value, path-masked so
-                # converged paths keep the iterate they stopped at
-                buf[:, head + 1] = buf[:, head]
-                done = np.zeros(n_blk, dtype=bool)
-                it = 0
-                while True:
-                    it += 1
-                    x_new = y + kappa * _delayed_batch(buf, head + 1, delay, 0.0, h, tau)
-                    res = np.abs(x_new - buf[:, head + 1]).max(axis=1)
-                    upd = ~done
-                    buf[upd, head + 1] = x_new[upd]
-                    done |= res <= cfg.fixed_point_tol
-                    if done.all():
-                        break
-                    if it >= cfg.fixed_point_max_iter:
-                        raise FixedPointError(
-                            f"state recovery failed to converge in {it} iterations "
-                            f"(step {k}, {int((~done).sum())} paths)")
-                return y, it
+                if neutral:
+                    ys[i] = ys[i] + incr
+                    buf[:, head + 1] = buf[:, head]
+                    it = _solve_newest(
+                        buf[:, head + 1], ys[i],
+                        lambda: kappa * _delayed_batch(buf, head + 1, delay, 0.0, h, tau),
+                        diverged, cfg, t + h)
+                    outcome.max_fixed_point_iters = max(outcome.max_fixed_point_iters, it)
+                else:
+                    buf[:, head + 1] = buf[:, head] + incr
 
-            if neutral:
-                y_a, it_a = step_one(buf_a, y_a)
-                max_fp = max(max_fp, it_a)
-                if coupled:
-                    y_b, it_b = step_one(buf_b, y_b)
-                    max_fp = max(max_fp, it_b)
-            else:
-                step_one(buf_a, None)
-                if coupled:
-                    step_one(buf_b, None)
-
-            # guard: freeze paths that left the box (keep last good value)
-            bad = ~np.all(np.isfinite(buf_a[:, head + 1]), axis=1)
-            bad |= np.abs(buf_a[:, head + 1]).max(axis=1) >= guard
-            if coupled:
-                bad |= ~np.all(np.isfinite(buf_b[:, head + 1]), axis=1)
-                bad |= np.abs(buf_b[:, head + 1]).max(axis=1) >= guard
+            bad = _out_of_guard(bufs[0][:, head + 1], guard)
+            for buf in bufs[1:]:
+                bad |= _out_of_guard(buf[:, head + 1], guard)
             new_bad = bad & ~diverged
             if new_bad.any():
-                first_bad[new_bad] = (k + 1) * h
+                outcome.first_bad_time[new_bad] = (k + 1) * h
                 diverged |= new_bad
             if diverged.any():
-                buf_a[diverged, head + 1] = buf_a[diverged, head]
-                if coupled:
-                    buf_b[diverged, head + 1] = buf_b[diverged, head]
+                for buf in bufs:
+                    buf[diverged, head + 1] = np.nan
 
             head += 1
-            if coupled:
-                observer.see_batch(k + 1, win(buf_a), win(buf_b))
-            else:
-                observer.see_batch(k + 1, win(buf_a))
+            observer.see_batch(k + 1, *wins())
 
-    outcome.diverged[lo:hi] = diverged
-    outcome.first_bad_time[lo:hi] = first_bad
-    outcome.max_fixed_point_iters = max(outcome.max_fixed_point_iters, max_fp)
+    return outcome
 
 
 # ---------------------------------------------------------------------------
 # generic per-path fallback
 # ---------------------------------------------------------------------------
-
-def _uniform_windows(traj, k_hist):
-    """(step -> window view) for a uniform-grid trajectory."""
-    states = traj.states
-
-    def at(step):
-        return states[step:step + k_hist + 1]
-    return at
-
 
 def _cadlag_window(traj, t, tau):
     times = traj.times
@@ -379,48 +331,30 @@ def _run_generic(model, xi, cfg, n_paths, observer, path_offset, eta):
     tau = model.tau
     k_hist = steps_per_window(tau, h, "tau")
     n_steps = steps_per_window(cfg.horizon, h, "horizon")
-    coupled = eta is not None
-    want_steps = range(0, n_steps + 1)
+    starts = [xi] if eta is None else [xi, eta]
     fp_iters = np.zeros(n_paths, dtype=int)
+
+    if model.model_class is ModelClass.JUMP:
+        def window(traj, k):
+            return _cadlag_window(traj, k * h, tau)
+    else:
+        def window(traj, k):
+            return traj.states[k:k + k_hist + 1]
 
     def work(p):
         stream = NoiseStream(cfg.master_seed, path_offset + p)
-        traj_a = simulate(model, xi, cfg, stream)
-        traj_b = simulate(model, eta, cfg, stream) if coupled else None
-        diverged = traj_a.diverged or (coupled and traj_b.diverged)
-        if diverged:
-            bads = [t.diverged_at for t in (traj_a, traj_b) if t is not None and t.diverged]
+        trajs = [simulate(model, seg, cfg, stream) for seg in starts]
+        bads = [traj.diverged_at for traj in trajs if traj.diverged]
+        if bads:
             outcome.diverged[p] = True
             outcome.first_bad_time[p] = min(bads)
-        fp = traj_a.max_fixed_point_iters
-        if coupled:
-            fp = max(fp, traj_b.max_fixed_point_iters)
-        fp_iters[p] = fp
-
-        if model.model_class is ModelClass.JUMP:
-            horizon_a = traj_a.horizon
-            horizon_b = traj_b.horizon if coupled else np.inf
-            for k in want_steps:
-                t = k * h
-                if t > min(horizon_a, horizon_b) + 1e-12:
-                    break
-                wins = [_cadlag_window(traj_a, t, tau)]
-                if coupled:
-                    wins.append(_cadlag_window(traj_b, t, tau))
-                observer.see_path(p, k, *wins)
-        else:
-            at_a = _uniform_windows(traj_a, k_hist)
-            n_ok = traj_a.states.shape[0] - k_hist - 1
-            if coupled:
-                n_ok = min(n_ok, traj_b.states.shape[0] - k_hist - 1)
-                at_b = _uniform_windows(traj_b, k_hist)
-            for k in want_steps:
-                if k > n_ok:
-                    break
-                if coupled:
-                    observer.see_path(p, k, at_a(k), at_b(k))
-                else:
-                    observer.see_path(p, k, at_a(k))
+        fp_iters[p] = max(traj.max_fixed_point_iters for traj in trajs)
+        # observers never see a path at or after its first bad step
+        stop = min(bads, default=math.inf) - 1e-12
+        for k in range(n_steps + 1):
+            if k * h >= stop:
+                break
+            observer.see_path(p, k, *[window(traj, k) for traj in trajs])
 
     threads = max(1, cfg.threads)
     if threads == 1 or n_paths == 1:

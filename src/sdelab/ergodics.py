@@ -20,9 +20,9 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy import stats as _stats
+from scipy.special import stdtrit
 
-from .errors import DivergenceError, DomainError, EstimationError
+from .errors import DomainError, EstimationError
 from .engine import SimConfig, simulate, steps_per_window, _CadlagSegView
 from .models import ModelClass
 from .noise import NoiseStream, PATH_BLOCK_PI_A, PATH_BLOCK_PI_B
@@ -134,8 +134,9 @@ def _as_window_fn(func: Functional, tau: float, hist_steps: int):
                     "cannot be applied to non-uniform jump windows; provide "
                     "window_fn for jump-class estimation")
             return func.map(Segment(SegmentKind.CONTINUOUS_LINEAR, grid, win))
-        out = np.empty(win.shape[0])
-        for i in range(win.shape[0]):
+        # rows of diverged paths hold NaN, which a Segment refuses
+        out = np.full(win.shape[0], np.nan)
+        for i in np.flatnonzero(np.isfinite(win).all(axis=(1, 2))):
             out[i] = func.map(Segment(SegmentKind.CONTINUOUS_LINEAR, grid, win[i]))
         return out
 
@@ -147,15 +148,6 @@ def _assert_bound(func: Functional, observed_max: float):
         raise EstimationError(
             f"functional {func.name!r} declared bound {func.bound!r} but "
             f"evaluated to {observed_max!r}")
-
-
-def _guard_divergence(outcome, what: str):
-    frac = outcome.n_diverged / outcome.n_paths
-    if frac > 0.01:
-        raise DivergenceError(
-            f"{outcome.n_diverged} of {outcome.n_paths} paths diverged "
-            f"during {what}; estimates would be meaningless",
-            n_diverged=outcome.n_diverged, n_total=outcome.n_paths)
 
 
 def _snap_times(times, h, n_steps, what):
@@ -199,7 +191,7 @@ def time_average(model, xi, func: Functional, cfg: SimConfig, burn_in: float,
     acc = _ens.IntegralAccumulator(burn_steps, stride, fn, cfg.ensemble, n_records)
     outcome = _ens.run_ensemble(model, xi, cfg, cfg.ensemble, acc,
                                 path_offset=path_offset)
-    _guard_divergence(outcome, "time averaging")
+    _ens.refuse_divergence(outcome, "time averaging")
 
     alive = ~outcome.diverged & (acc.counts > 0)
     if not alive.any():
@@ -305,7 +297,7 @@ def mixing_check(model, xi, eta, func: Functional, cfg: SimConfig, *,
     fn = _as_window_fn(func, tau, hist_steps)
     rec = _ens.WindowRecorder(record_steps, {"f": fn}, cfg.ensemble)
     outcome = _ens.run_ensemble(model, xi, cfg, cfg.ensemble, rec)
-    _guard_divergence(outcome, "kernel ensemble")
+    _ens.refuse_divergence(outcome, "kernel ensemble")
     alive = ~outcome.diverged
     vals = rec.out["f"][alive]
     ok = np.isfinite(vals).all(axis=1)
@@ -417,7 +409,7 @@ def moment_bound_check(model, xi, cfg: SimConfig, kappa_exp: float = 0.1, *,
 
     rec = _ens.WindowRecorder(record_steps, {"m": fn}, cfg.ensemble)
     outcome = _ens.run_ensemble(model, xi, cfg, cfg.ensemble, rec)
-    _guard_divergence(outcome, "moment estimation")
+    _ens.refuse_divergence(outcome, "moment estimation")
     vals = rec.out["m"][~outcome.diverged]
     vals = vals[np.isfinite(vals).all(axis=1)]
     if vals.shape[0] < 3:
@@ -432,7 +424,7 @@ def moment_bound_check(model, xi, cfg: SimConfig, kappa_exp: float = 0.1, *,
     slopes = (vals - vals.mean(axis=1, keepdims=True)) @ tc / denom
     slope = float(slopes.mean())
     slope_se = float(slopes.std(ddof=1) / math.sqrt(slopes.size))
-    tcrit = float(_stats.t.ppf(0.995, slopes.size - 1))
+    tcrit = float(stdtrit(slopes.size - 1, 0.995))
     ci = (slope - tcrit * slope_se, slope + tcrit * slope_se)
     return MomentReport(p, times, moments, ses, float(moments.max()), slope,
                         slope_se, ci, ci[0] <= 0.0 <= ci[1], cfg.ensemble,
@@ -515,7 +507,7 @@ def tightness_diagnostic(model, xi, cfg: SimConfig, delta_list, eps: float, *,
            for i, d in enumerate(deltas)}
     rec = _ens.WindowRecorder(record_steps, fns, cfg.ensemble)
     outcome = _ens.run_ensemble(model, xi, cfg, cfg.ensemble, rec)
-    _guard_divergence(outcome, "tightness diagnostic")
+    _ens.refuse_divergence(outcome, "tightness diagnostic")
     alive = ~outcome.diverged
 
     times = np.array(record_steps, dtype=float) * h
@@ -585,14 +577,12 @@ def kurtz_diagnostic(model, xi, cfg: SimConfig, eps_list, *,
     eval_t = np.array(eval_steps, dtype=float) * h
 
     table = np.zeros((eval_t.size, len(eps)))
-    n_div = 0
-    n_used = 0
+    outcome = _ens.EnsembleOutcome(cfg.ensemble)
     for p in range(cfg.ensemble):
         traj = simulate(model, xi, cfg, NoiseStream(cfg.master_seed, p))
         if traj.diverged:
-            n_div += 1
+            outcome.diverged[p] = True
             continue
-        n_used += 1
         times, states = traj.times, traj.states
         view = _CadlagSegView(states, times, tau)
         lo_t = eval_t[0] - tau - max(eps)
@@ -618,12 +608,6 @@ def kurtz_diagnostic(model, xi, cfg: SimConfig, eps_list, *,
                              if -tau <= u - t - e <= -e)
                 starts = t + np.asarray(cands)
                 table[it, ie] += float(np.max(integral(starts, starts + e)))
-    if n_used == 0:
-        raise DivergenceError("all paths diverged in the displacement diagnostic",
-                              n_diverged=n_div, n_total=cfg.ensemble)
-    if n_div / cfg.ensemble > 0.01:
-        raise DivergenceError(
-            f"{n_div} of {cfg.ensemble} paths diverged during the displacement "
-            "diagnostic", n_diverged=n_div, n_total=cfg.ensemble)
-    table /= n_used
-    return KurtzTable(eval_t, np.array(eps), table, cfg.ensemble, n_div)
+    _ens.refuse_divergence(outcome, "the displacement diagnostic")
+    table /= cfg.ensemble - outcome.n_diverged
+    return KurtzTable(eval_t, np.array(eps), table, cfg.ensemble, outcome.n_diverged)

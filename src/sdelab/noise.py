@@ -54,7 +54,6 @@ class NoiseStream:
     PURPOSE_GAUSS = 0
     PURPOSE_EPOCH = 1
     PURPOSE_MARK = 2
-    PURPOSE_AUX = 3
 
     def __init__(self, master_seed: int, path_index: int = 0):
         if path_index < 0:
@@ -108,16 +107,6 @@ class NoiseStream:
 
     def mark_uniforms(self, start: int, count: int) -> np.ndarray:
         return self.uniforms(self.PURPOSE_MARK, start, count)
-
-    def aux_generator(self) -> np.random.Generator:
-        """A conventional generator on the stream's auxiliary channel.
-
-        For consumers that need generic (non-replayable-by-address) draws,
-        e.g. condition samplers.  Still fully determined by
-        (master_seed, path_index).
-        """
-        counter = np.array([0, self.PURPOSE_AUX, 0, 0], dtype=_U64)
-        return np.random.Generator(np.random.Philox(key=self._key, counter=counter))
 
     def __repr__(self):  # pragma: no cover
         return f"NoiseStream(master_seed={self.master_seed}, path_index={self.path_index})"

@@ -152,7 +152,7 @@ class Segment:
 
 def _locate(seg: Segment, theta: float) -> float:
     tau = seg.tau
-    if theta < -tau - _ENDPOINT_ATOL or theta > _ENDPOINT_ATOL:
+    if not -tau - _ENDPOINT_ATOL <= theta <= _ENDPOINT_ATOL:  # NaN fails too
         raise DomainError(f"theta={theta!r} outside [-tau, 0] with tau={tau!r}")
     return min(0.0, max(float(theta), -tau))
 

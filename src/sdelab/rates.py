@@ -173,7 +173,8 @@ class RateReport:
     """Fitted exponential decay of the coupled-pair distance curve.
 
     ``fitted_rate`` is the magnitude of the log-linear slope (``inf`` when
-    the pairs coalesce exactly and the curve is identically zero);
+    the pairs coalesce exactly and the curve is identically zero, ``nan``
+    when fewer than 3 usable points remain to fit);
     ``analytic_rate`` is attached for recognized built-in families and is a
     lower envelope, not an asymptotic.  ``times``/``values`` carry the decay
     curve itself for CSV export.
@@ -313,10 +314,9 @@ def mixing_rate_estimate(model, xi, eta, cfg: SimConfig, window) -> RateReport:
     n_pairs = cfg.ensemble
     rec = _ens.WindowRecorder(record_steps, {"d": sup_dist}, n_pairs)
     outcome = _ens.run_ensemble(model, xi, cfg, n_pairs, rec, eta=eta)
+    _ens.refuse_divergence(outcome, "the coupling run")
     alive = ~outcome.diverged
     note = ""
-    if not alive.any():
-        raise DomainError("every coupled pair diverged; nothing to fit")
 
     vals = rec.out["d"][alive]
     curve = np.nanmean(vals, axis=0)
@@ -348,7 +348,7 @@ def mixing_rate_estimate(model, xi, eta, cfg: SimConfig, window) -> RateReport:
                           analytic, 0, times, curve, n_pairs,
                           outcome.n_diverged, note or "exact coalescence everywhere")
     if times.size < 3:
-        return RateReport(math.inf, math.nan, math.nan, (t_start, t_end),
+        return RateReport(math.nan, math.nan, math.nan, (t_start, t_end),
                           analytic, int(times.size), times, curve, n_pairs,
                           outcome.n_diverged, note or "fewer than 3 usable points")
 

@@ -377,6 +377,24 @@ class TestCliRunner:
         assert manifest["status"] == "diverged"
         assert "trajectory.csv" in manifest["artifacts"]
 
+    def test_couple_with_diverging_pairs_exits_3(self, tmp_path, capsys):
+        # a guard this tight stops some of the noisy pairs, not all of them
+        text = SIMULATE_EQUILIBRIUM.replace("a = 1", "a = 3") \
+            .replace("sigma0 = 0", "sigma0 = 1") \
+            .replace("step = 0.1", "step = 0.05") \
+            .replace("horizon = 1", "horizon = 3\nensemble = 100\n"
+                     "divergence_guard = 1.5") \
+            .replace("name = simulate",
+                     "name = couple\nwindow_start = 1\nwindow_end = 3") \
+            .replace("[output]", "[initial2]\nkind = constant\nvalue = -1\n\n[output]")
+        path = write_config(tmp_path, text)
+        assert main(["couple", "--config", path]) == 3
+        match = ERROR_LINE.search(capsys.readouterr().err)
+        assert match and match.group(2) == "DivergenceError"
+        assert "of 100 paths diverged" in match.group(0)
+        assert "100 of 100" not in match.group(0)
+        assert read_manifest(tmp_path / "out")["status"] == "error:DivergenceError"
+
     def test_fixed_point_failure_exits_3(self, tmp_path, capsys):
         text = """
             [model]

@@ -230,6 +230,54 @@ def test_outcome_counts_divergers_batch():
     assert np.all(out.first_bad_time < 10.0)
 
 
+@pytest.mark.parametrize("eta", [None, Segment.constant(np.array([0.5]), 1.0)],
+                         ids=["single", "coupled"])
+def test_diverged_paths_read_the_same_on_both_routes(eta):
+    # one divergence rule: observers never see a path at or after its first
+    # bad step (here t = 8.1, step 810), on either route
+    model = linear_retarded(0.5, 3.0, 0.0, PointConstant(1.0), 1.0)
+    cfg = SimConfig(step=0.01, horizon=10.0, divergence_guard=1e3)
+    steps = [809, 810, 811, 1000]
+    outs = []
+    for run in (run_ensemble, _run_generic):
+        rec = recorder(steps, 2)
+        out = run(model, ONES, cfg, 2, rec, 0, eta)
+        assert out.n_diverged == 2
+        assert np.all(out.first_bad_time == 8.1)
+        outs.append(rec.out["x"])
+    assert np.array_equal(outs[0], outs[1], equal_nan=True)
+    assert outs[0][0, 0] == pytest.approx(992.61, abs=0.01)
+    assert np.all(np.isnan(outs[0][:, 1:]))
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
+                            "ignore:invalid value:RuntimeWarning")
+def test_neutral_overflow_is_flagged_not_raised():
+    # with no finite guard the state overflows inside the neutral solve; the
+    # NaN residual ends the solve and the path is flagged on both routes
+    model = neutral_linear(0.25, PointConstant(1.0), 0.5, 3.0, 0.0, 1.0)
+    cfg = SimConfig(step=0.1, horizon=1000.0, divergence_guard=math.inf)
+    traj = simulate(model, ONES, cfg)
+    assert traj.diverged and not np.isfinite(traj.states[-1]).all()
+    out = run_ensemble(model, ONES, cfg, 2, recorder([0], 2))
+    assert np.all(out.first_bad_time == traj.diverged_at)
+
+
+def test_batch_wider_than_4096_paths_matches_simulate():
+    # above 4096 paths the kernel shortens its chunks (here to 1023 steps), so
+    # the run crosses a chunk boundary and a buffer roll at full width
+    model = linear_retarded(3.0, 1.0, 0.5, PointConstant(1.0), 1.0)
+    cfg = SimConfig(step=0.1, horizon=110.0, master_seed=17)
+    n_paths = 4100
+    steps = sorted(set(range(0, 1101, 50)) | {1022, 1023, 1024, 1025})
+    rec = recorder(steps, n_paths)
+    out = run_ensemble(model, ONES, cfg, n_paths, rec)
+    assert out.n_diverged == 0
+    for p in (0, 4096, n_paths - 1):
+        traj = simulate(model, ONES, cfg, path_index=p)
+        assert np.array_equal(rec.out["x"][p], traj.states[10 + np.array(steps), 0])
+
+
 def test_run_ensemble_needs_a_path():
     model = linear_retarded(3.0, 1.0, 0.5, PointConstant(1.0), 1.0)
     with pytest.raises(DomainError):

@@ -2,6 +2,8 @@
 
 import json
 import math
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -151,6 +153,16 @@ def test_time_average_divergence_guard():
         time_average(unstable, ONES, value_at_zero(), cfg, 5.0)
 
 
+def test_map_only_functional_skips_diverged_batch_rows():
+    # the batch route hands NaN rows of diverged paths to the observer; a
+    # functional without window_fn must not turn them into a DomainError
+    unstable = linear_retarded(0.5, 3.0, 0.0, PointConstant(1.0), 1.0)
+    map_only = Functional("x0", lambda seg: float(seg.eval(0.0)[0]))
+    cfg = SimConfig(step=0.01, horizon=10.0, ensemble=3, divergence_guard=1e3)
+    with pytest.raises(DivergenceError):
+        time_average(unstable, ONES, map_only, cfg, 5.0)
+
+
 def test_independent_runs_agree_across_battery():
     # two estimates with disjoint seeds and different initials agree to 3 SE
     eta = Segment.constant(np.array([-2.0]), 1.0)
@@ -268,6 +280,13 @@ def test_moment_check_unstable_negative():
     rep = moment_bound_check(unstable, ONES, cfg)
     assert rep.slope > 0.0
     assert not rep.contains_zero
+
+
+def test_import_does_not_load_scipy_stats():
+    code = "import sys, sdelab; print('scipy.stats' in sys.modules)"
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, timeout=120, check=True)
+    assert done.stdout.strip() == "False"
 
 
 def test_moment_check_validation():

@@ -119,9 +119,11 @@ def test_evaluate_many_equals_scalar_evaluation_exactly(kind, dim):
     for th, r, lft in zip(thetas, right, left):
         assert np.all(r == evaluate(seg, th))
         assert np.all(lft == evaluate_left(seg, th))
-    for bad in (-1.0 - 10 * _ENDPOINT_ATOL, 10 * _ENDPOINT_ATOL):
+    for bad in (-1.0 - 10 * _ENDPOINT_ATOL, 10 * _ENDPOINT_ATOL, float("nan")):
         with pytest.raises(DomainError):
             evaluate(seg, bad)
+        with pytest.raises(DomainError):
+            evaluate_left(seg, bad)
         with pytest.raises(DomainError):
             evaluate_many(seg, np.append(thetas, bad))
 

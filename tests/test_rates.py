@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from sdelab import (
+    DivergenceError,
     DomainError,
     PointConstant,
     RateReport,
@@ -306,6 +307,27 @@ def test_estimator_jump_first_power():
     assert rep.fitted_rate > 0.0
     # additive jumps cancel in the pair difference, so the fit is clean
     assert rep.r_squared > 0.9
+
+
+def test_estimator_two_point_window_reports_nan_not_inf():
+    # inf is kept for exact coalescence; too few points to fit is not that
+    model = linear_retarded(3.0, 1.0, 0.5, PointConstant(1.0), 1.0)
+    cfg = SimConfig(step=0.05, horizon=3.0, ensemble=100, master_seed=1)
+    rep = mixing_rate_estimate(model, ONES, MINUS, cfg, (1.0, 1.05))
+    assert rep.n_points == 2
+    assert np.all(rep.values > 0.0)
+    assert math.isnan(rep.fitted_rate)
+    assert "fewer than 3" in rep.note
+
+
+def test_estimator_refuses_when_pairs_diverge():
+    # a guard this tight stops about a fifth of the noisy pairs, not all
+    model = linear_retarded(3.0, 1.0, 1.0, PointConstant(1.0), 1.0)
+    cfg = SimConfig(step=0.05, horizon=3.0, ensemble=100, master_seed=1,
+                    divergence_guard=1.5)
+    with pytest.raises(DivergenceError) as err:
+        mixing_rate_estimate(model, ONES, MINUS, cfg, (1.0, 3.0))
+    assert 1 < err.value.n_diverged < 100
 
 
 def test_estimator_window_validation():
