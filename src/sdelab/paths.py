@@ -408,11 +408,16 @@ def _warped_distances(xi: Segment, eta: Segment, bp: np.ndarray, im: np.ndarray)
     and images of one warp lambda.  Both one-sided limits are compared at
     every point where either composed function can change slope or jump,
     which is where the sup of a piecewise linear/constant difference lives.
+    eta's own grid points and the images are compared where they are, not
+    after a round trip through the warp and its inverse, which can land
+    just below a jump of eta and miss it.
     """
     m = bp.shape[0]
-    pulled = _interp_rows(np.broadcast_to(eta.grid, (m, eta.grid.size)), im, bp)
-    ts = np.concatenate([np.broadcast_to(xi.grid, (m, xi.grid.size)), pulled, bp], axis=1)
-    ss = np.minimum(0.0, np.maximum(_interp_rows(ts, bp, im), -eta.tau))
+    xi_grid = np.broadcast_to(xi.grid, (m, xi.grid.size))
+    eta_grid = np.broadcast_to(eta.grid, (m, eta.grid.size))
+    ts = np.concatenate([xi_grid, _interp_rows(eta_grid, im, bp), bp], axis=1)
+    ss = np.concatenate([_interp_rows(xi_grid, bp, im), eta_grid, im], axis=1)
+    ss = np.minimum(0.0, np.maximum(ss, -eta.tau))
     xi_right, xi_left = evaluate_many(xi, ts)
     eta_right, eta_left = evaluate_many(eta, ss)
     gap = np.maximum(_norms(xi_right - eta_right), _norms(xi_left - eta_left))

@@ -16,7 +16,7 @@ from sdelab import (
     skorohod_distance,
     uniform_distance,
 )
-from sdelab.paths import _critical_points, _lower_bound, evaluate_many
+from sdelab.paths import _critical_points, _lower_bound, _warped_distances, evaluate_many
 
 from helpers import indicator_step, random_step_segment
 
@@ -167,6 +167,35 @@ def test_window_mismatch_rejected():
         skorohod_distance(a, b)
 
 
+def test_warped_sup_compares_the_jumps_of_eta_where_they_are():
+    # pulling eta's grid back through the kept warp and pushing it forward
+    # again landed just below a jump of eta, so the warped sup missed it:
+    # the bracket of (a, b) read [1.0045, 2.6391] against (b, a)'s
+    # [2.7540, 2.7540]
+    flags = lambda n: np.arange(n) % (n - 1) != 0  # noqa: E731
+    a = Segment(SegmentKind.CADLAG_STEP,
+                np.array([-1.0, -0.6267743300961568, -0.4729462764226644,
+                          -0.3477518831505403, -0.10100860461771854, 0.0]),
+                np.array([-1.701302227654446, -0.8167022342887673, -1.6137478043727276,
+                          -0.9515789265994581, -1.076747668401754, -1.6817283166732895]),
+                flags(6))
+    b = Segment(SegmentKind.CADLAG_STEP,
+                np.array([-1.0, -0.6713815533679871, -0.46146942611833797,
+                          -0.38623895556064747, -0.18179492109445294,
+                          -0.08145170146753256, 0.0]),
+                np.array([0.3619345770212825, 1.9372610706110471, -0.696828678057547,
+                          0.6866004061552533, 0.9760941436126793, 1.5623086405254978,
+                          0.6397687393409592]),
+                flags(7))
+    ab, ba = skorohod_distance(a, b), skorohod_distance(b, a)
+    assert ab.lower <= ba.upper and ba.lower <= ab.upper
+    assert ab.upper == pytest.approx(2.7539633048998144, abs=1e-12)
+    # a warp on (a, b) and its inverse on (b, a) see the same sup
+    bp, im = ab.time_change.breakpoints, ab.time_change.images
+    assert _warped_distances(a, b, bp[None], im[None])[0] == pytest.approx(
+        _warped_distances(b, a, im[None], bp[None])[0], abs=1e-12)
+
+
 # ---------------------------------------------------------------------------
 # bitwise contract: the array scoring against the per-candidate loop
 # ---------------------------------------------------------------------------
@@ -176,9 +205,9 @@ def _ref_log_slope_norm(bp, im):
 
 
 def _ref_warped_distance(xi, eta, bp, im):
-    pulled = np.interp(eta.grid, im, bp)
-    ts = np.unique(np.concatenate([xi.grid, pulled, bp]))
-    ss = np.minimum(0.0, np.maximum(np.interp(ts, bp, im), -eta.tau))
+    ts = np.concatenate([xi.grid, np.interp(eta.grid, im, bp), bp])
+    ss = np.concatenate([np.interp(xi.grid, bp, im), eta.grid, im])
+    ss = np.minimum(0.0, np.maximum(ss, -eta.tau))
     xi_right, xi_left = evaluate_many(xi, ts)
     eta_right, eta_left = evaluate_many(eta, ss)
     right = np.sqrt(((xi_right - eta_right) ** 2).sum(axis=1))
