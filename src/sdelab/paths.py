@@ -379,6 +379,15 @@ def _check_compatible(xi: Segment, eta: Segment):
         raise DomainError("segments have different dimensions")
 
 
+def _clip(seg: Segment, thetas: np.ndarray) -> np.ndarray:
+    """``thetas`` clipped to the segment's own window.
+
+    Compatible segments may have windows up to ``1e-9 tau`` apart, more than
+    ``evaluate_many`` forgives, so the metrics clip each segment's times.
+    """
+    return np.minimum(0.0, np.maximum(thetas, -seg.tau))
+
+
 def _norms(diff: np.ndarray) -> np.ndarray:
     """Euclidean norm along the last axis."""
     return np.sqrt((diff ** 2).sum(axis=-1))
@@ -417,9 +426,8 @@ def _warped_distances(xi: Segment, eta: Segment, bp: np.ndarray, im: np.ndarray)
     eta_grid = np.broadcast_to(eta.grid, (m, eta.grid.size))
     ts = np.concatenate([xi_grid, _interp_rows(eta_grid, im, bp), bp], axis=1)
     ss = np.concatenate([_interp_rows(xi_grid, bp, im), eta_grid, im], axis=1)
-    ss = np.minimum(0.0, np.maximum(ss, -eta.tau))
-    xi_right, xi_left = evaluate_many(xi, ts)
-    eta_right, eta_left = evaluate_many(eta, ss)
+    xi_right, xi_left = evaluate_many(xi, _clip(xi, ts))
+    eta_right, eta_left = evaluate_many(eta, _clip(eta, ss))
     gap = np.maximum(_norms(xi_right - eta_right), _norms(xi_left - eta_left))
     return gap.reshape(m, -1).max(axis=1)
 
@@ -431,8 +439,8 @@ def uniform_distance(xi: Segment, eta: Segment) -> float:
             and np.array_equal(xi.grid, eta.grid) and np.array_equal(xi.values, eta.values)):
         return 0.0
     ts = np.unique(np.concatenate([xi.grid, eta.grid]))
-    xi_right, xi_left = evaluate_many(xi, ts)
-    eta_right, eta_left = evaluate_many(eta, np.minimum(0.0, np.maximum(ts, -eta.tau)))
+    xi_right, xi_left = evaluate_many(xi, _clip(xi, ts))
+    eta_right, eta_left = evaluate_many(eta, _clip(eta, ts))
     return float(np.maximum(_norms(xi_right - eta_right), _norms(xi_left - eta_left)).max())
 
 
@@ -623,7 +631,7 @@ def _lower_bound(xi: Segment, eta: Segment, tau: float, upper: float, levels: in
     if upper <= 0:
         return 0.0
     mids = 0.5 * (xi.grid[:-1] + xi.grid[1:])
-    ts = np.unique(np.concatenate([xi.grid, eta.grid, mids]))
+    ts = _clip(xi, np.unique(np.concatenate([xi.grid, eta.grid, mids])))
     # a warp of norm < r keeps lambda(t) within w of t, and the warped sup
     # dominates both the right-value and the left-limit difference at t, so
     # each window infimum is a certified floor on its own

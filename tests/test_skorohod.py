@@ -196,6 +196,24 @@ def test_warped_sup_compares_the_jumps_of_eta_where_they_are():
         _warped_distances(b, a, im[None], bp[None])[0], abs=1e-12)
 
 
+def test_windows_within_the_compatibility_tolerance_are_measured():
+    # tau = 1 and tau = 1 + 5e-10 are compatible; each segment is evaluated
+    # inside its own window, so the pair is measured instead of raising
+    rng = np.random.default_rng(0x7A5)
+    for _ in range(5):
+        a = random_step_segment(rng)
+        b = random_step_segment(rng, tau=1.0 + 5e-10)
+        b1 = Segment(b.kind, np.concatenate([[-1.0], b.grid[1:]]), b.values, b.jump_flags)
+        for xi, eta in ((a, b), (b, a)):
+            sup = uniform_distance(xi, eta)
+            br = skorohod_distance(xi, eta)
+            assert 0.0 <= br.lower <= br.upper <= sup
+            assert br.sup_distance == sup
+        # a step segment holds its first value up to the window's start
+        assert uniform_distance(a, b) == uniform_distance(a, b1)
+        assert uniform_distance(b, a) == uniform_distance(b1, a)
+
+
 # ---------------------------------------------------------------------------
 # bitwise contract: the array scoring against the per-candidate loop
 # ---------------------------------------------------------------------------
