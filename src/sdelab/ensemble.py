@@ -125,11 +125,14 @@ class IntegralAccumulator:
         rec = self._record_index(step)
         if rec is None:
             return
+        # a diverged path's newest point is NaN from its first bad step on;
+        # like the per-path route, record nothing for it from there
+        live = ~np.isnan(wins[0][:, -1, 0])
         v = self.fn(*wins)
         blk = self._block(rec)
-        self.block_sums[:, blk] += v
-        self.block_counts[:, blk] += 1
-        np.maximum(self.max_abs, np.abs(v), out=self.max_abs)
+        self.block_sums[:, blk] += np.where(live, v, 0.0)
+        self.block_counts[:, blk] += live
+        np.maximum(self.max_abs, np.where(live, np.abs(v), 0.0), out=self.max_abs)
 
     def see_path(self, path, step, *wins):
         rec = self._record_index(step)

@@ -250,6 +250,25 @@ def test_diverged_paths_read_the_same_on_both_routes(eta):
     assert np.all(np.isnan(outs[0][:, 1:]))
 
 
+def test_integral_accumulator_stops_at_divergence_on_both_routes():
+    # the probe diverges at step 810; past a 500-step burn-in both routes
+    # record steps 501..809 and nothing after
+    model = linear_retarded(0.5, 3.0, 0.0, PointConstant(1.0), 1.0)
+    cfg = SimConfig(step=0.01, horizon=10.0, divergence_guard=1e3)
+    accs = []
+    for run in (run_ensemble, _run_generic):
+        acc = IntegralAccumulator(burn_steps=500, stride=1, fn=terminal_value,
+                                  n_paths=1, n_records=500)
+        run(model, ONES, cfg, 1, acc, 0, None)
+        accs.append(acc)
+    batch, per_path = accs
+    assert per_path.counts[0] == 309
+    assert per_path.sums[0] == pytest.approx(111996.3, abs=0.01)
+    assert np.array_equal(batch.block_counts, per_path.block_counts)
+    assert np.array_equal(batch.block_sums, per_path.block_sums)
+    assert np.array_equal(batch.max_abs, per_path.max_abs)
+
+
 @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
                             "ignore:invalid value:RuntimeWarning")
 def test_neutral_overflow_is_flagged_not_raised():
