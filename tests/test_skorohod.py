@@ -172,13 +172,12 @@ def test_warped_sup_compares_the_jumps_of_eta_where_they_are():
     # again landed just below a jump of eta, so the warped sup missed it:
     # the bracket of (a, b) read [1.0045, 2.6391] against (b, a)'s
     # [2.7540, 2.7540]
-    flags = lambda n: np.arange(n) % (n - 1) != 0  # noqa: E731
     a = Segment(SegmentKind.CADLAG_STEP,
                 np.array([-1.0, -0.6267743300961568, -0.4729462764226644,
                           -0.3477518831505403, -0.10100860461771854, 0.0]),
                 np.array([-1.701302227654446, -0.8167022342887673, -1.6137478043727276,
                           -0.9515789265994581, -1.076747668401754, -1.6817283166732895]),
-                flags(6))
+                np.r_[False, [True] * 4, False])
     b = Segment(SegmentKind.CADLAG_STEP,
                 np.array([-1.0, -0.6713815533679871, -0.46146942611833797,
                           -0.38623895556064747, -0.18179492109445294,
@@ -186,7 +185,7 @@ def test_warped_sup_compares_the_jumps_of_eta_where_they_are():
                 np.array([0.3619345770212825, 1.9372610706110471, -0.696828678057547,
                           0.6866004061552533, 0.9760941436126793, 1.5623086405254978,
                           0.6397687393409592]),
-                flags(7))
+                np.r_[False, [True] * 5, False])
     ab, ba = skorohod_distance(a, b), skorohod_distance(b, a)
     assert ab.lower <= ba.upper and ba.lower <= ab.upper
     assert ab.upper == pytest.approx(2.7539633048998144, abs=1e-12)
