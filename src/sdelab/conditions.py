@@ -300,16 +300,20 @@ def _fit_two_constants(L, A, R):
 
 
 def _fit_single_constant(L, R):
-    """Smallest ``a3`` with ``L_i <= a3 * R_i`` plus headroom; worst index."""
+    """Smallest ``a3`` with ``L_i <= a3 * R_i`` plus headroom; worst index.
+
+    A pair counts as identical (``R_i`` zero) within a tolerance taken from
+    that pair's own ``|L_i|`` and ``R_i``, so large pairs elsewhere in the
+    sample cannot make two distinct segments look identical.
+    """
     L = np.asarray(L, dtype=float)
     R = np.asarray(R, dtype=float)
-    scale = max(1.0, float(np.abs(L).max(initial=0.0)), float(R.max(initial=0.0)))
-    tol = 1e-12 * scale
+    tol = 1e-12 * np.maximum(1.0, np.maximum(np.abs(L), R))
     hard = (R <= tol) & (L > tol)
     if hard.any():
         return False, 0.0, int(np.argmax(np.where(hard, L, -np.inf)))
     mask = R > tol
-    if not mask.any() or float(np.maximum(L[mask], 0.0).max(initial=0.0)) <= tol:
+    if not (L[mask] > tol[mask]).any():
         return True, 0.0, -1
     ratios = np.full(L.shape, -np.inf)
     ratios[mask] = L[mask] / R[mask]

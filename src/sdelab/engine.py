@@ -13,9 +13,12 @@ master_seed, path_index)`` and coupled runs consume identical noise by
 sharing the stream.  Paths that leave the divergence guard are truncated and
 flagged, never raised.
 
-The guard predicate and the neutral newest-point solver below act on rows of
-paths, so this per-path engine and the batch kernel in
-:mod:`sdelab.ensemble` share them: one path is a block of one row.
+The continuous classes advance by one Euler step, :func:`_euler_step`,
+which calls the model's own coefficient maps on a segment view with a rows
+axis.  This per-path engine steps one path's history with it and the batch
+kernel in :mod:`sdelab.ensemble` steps a block of rows, so both routes run
+the same arithmetic, along with the same guard predicate and neutral
+newest-point solver.
 """
 
 from __future__ import annotations
@@ -141,7 +144,12 @@ class Trajectory:
 # ---------------------------------------------------------------------------
 
 class _UniformSegView:
-    """Segment protocol over a uniform-grid history array (continuous kinds)."""
+    """Segment protocol over a uniform-grid history (continuous kinds).
+
+    ``states`` is one path's history ``(T, n)`` or a block of rows
+    ``(rows, T, n)``; every read indexes the time axis ``states[..., i, :]``,
+    so it returns ``(n,)`` for one path and ``(rows, n)`` for a block.
+    """
 
     __slots__ = ("states", "head", "h", "tau", "hist_steps")
 
@@ -153,26 +161,26 @@ class _UniformSegView:
         self.head = hist_steps
 
     def zero(self):
-        return self.states[self.head]
+        return self.states[..., self.head, :]
 
     def eval(self, theta):
         if theta == 0.0:
-            return self.states[self.head]
+            return self.states[..., self.head, :]
         back = -theta / self.h
         r = round(back)
         if abs(back - r) < 1e-9 * max(1.0, back):
-            return self.states[self.head - int(r)]
+            return self.states[..., self.head - int(r), :]
         i = int(math.floor(back))
         w = back - i
-        lo = self.states[self.head - i - 1]
-        hi = self.states[self.head - i]
+        lo = self.states[..., self.head - i - 1, :]
+        hi = self.states[..., self.head - i, :]
         return w * lo + (1.0 - w) * hi
 
     def sup_norm(self):
-        win = self.states[self.head - self.hist_steps:self.head + 1]
-        if win.shape[1] == 1:
-            return float(np.abs(win).max())
-        return float(np.sqrt((win ** 2).sum(axis=1)).max())
+        win = self.states[..., self.head - self.hist_steps:self.head + 1, :]
+        if win.shape[-1] == 1:
+            return np.abs(win).max(axis=(-2, -1))
+        return np.sqrt((win ** 2).sum(axis=-1)).max(axis=-1)
 
 
 class _CadlagSegView:
@@ -221,17 +229,17 @@ def _out_of_guard(x, guard):
 def _solve_newest(newest, y, g_of, done, cfg: SimConfig, t: float) -> int:
     """Solve ``x = y + G(x)`` for the newest point of each row of paths.
 
-    ``newest`` (rows x n) holds the starting iterate and receives the
-    solution in place; ``g_of()`` evaluates G on every row with the current
-    newest points.  Rows flagged in ``done`` (diverged paths) are left as
-    they are.  Each other row takes iterates until one moved by at most
-    ``cfg.fixed_point_tol`` and keeps that iterate.  A row whose residual
-    turns NaN (its iterate left the floats) stops too, keeping a non-finite
-    iterate for the guard to flag.  Returns the number of sweeps; raises
-    :class:`FixedPointError` after ``cfg.fixed_point_max_iter`` sweeps with
-    a row still moving.
+    ``newest`` (rows x n, or n for one path) holds the starting iterate and
+    receives the solution in place; ``g_of()`` evaluates G on every row with
+    the current newest points.  Rows flagged in ``done`` (rows, or 0-d for
+    one path; diverged paths) are left as they are.  Each other row takes
+    iterates until one moved by at most ``cfg.fixed_point_tol`` and keeps
+    that iterate.  A row whose residual turns NaN (its iterate left the
+    floats) stops too, keeping a non-finite iterate for the guard to flag.
+    Returns the number of sweeps; raises :class:`FixedPointError` after
+    ``cfg.fixed_point_max_iter`` sweeps with a row still moving.
     """
-    moving = ~done[:, None]
+    moving = ~done[..., None]
     it = 0
     while np.count_nonzero(moving):
         if it == cfg.fixed_point_max_iter:
@@ -245,6 +253,31 @@ def _solve_newest(newest, y, g_of, done, cfg: SimConfig, t: float) -> int:
         np.copyto(newest, x_new, where=moving)
         moving &= res > cfg.fixed_point_tol
     return it
+
+
+def _euler_step(model, view, y, dw, t, h, done, cfg: SimConfig):
+    """One Euler-Maruyama step from ``t`` for every row of ``view``.
+
+    The model's drift and diffusion are called on the view at its head; the
+    new point is written at ``head + 1`` and the head moves there.  ``dw``
+    holds each row's Brownian increments, already scaled by ``sqrt(h)``.
+    A neutral model (``y`` not None) adds the increment to its transformed
+    state ``y`` in place and recovers the new point with
+    :func:`_solve_newest`, skipping the rows in ``done``.  Returns the drift
+    and the number of fixed-point sweeps (0 for the retarded class).
+    """
+    head = view.head
+    b = model.drift(t, view)
+    incr = b * h + (model.diffusion(t, view) @ dw[..., None])[..., 0]
+    states = view.states
+    view.head = head + 1
+    if y is None:
+        states[..., head + 1, :] = states[..., head, :] + incr
+        return b, 0
+    y += incr
+    newest = states[..., head + 1, :]
+    newest[...] = states[..., head, :]
+    return b, _solve_newest(newest, y, lambda: model.neutral_map(view), done, cfg, t + h)
 
 
 # ---------------------------------------------------------------------------
@@ -298,11 +331,9 @@ def simulate(model: ModelSpec, xi: Segment, cfg: SimConfig,
     _check_initial(model, xi)
     if stream is None:
         stream = NoiseStream(cfg.master_seed, path_index)
-    if model.model_class is ModelClass.RETARDED:
-        return _simulate_continuous(model, xi, cfg, stream, neutral=False)
-    if model.model_class is ModelClass.NEUTRAL:
-        return _simulate_continuous(model, xi, cfg, stream, neutral=True)
-    return _simulate_jump(model, xi, cfg, stream)
+    if model.model_class is ModelClass.JUMP:
+        return _simulate_jump(model, xi, cfg, stream)
+    return _simulate_continuous(model, xi, cfg, stream)
 
 
 def simulate_coupled(model: ModelSpec, xi: Segment, eta: Segment, cfg: SimConfig,
@@ -331,54 +362,35 @@ def _history_on_grid(xi: Segment, k_hist: int, tau: float) -> np.ndarray:
     return np.stack([evaluate(xi, th) for th in grid])
 
 
-def _simulate_continuous(model, xi, cfg, stream, neutral: bool) -> Trajectory:
+def _simulate_continuous(model, xi, cfg, stream) -> Trajectory:
     h = cfg.step
     tau = model.tau
     k_hist = steps_per_window(tau, h, "tau")
     n_steps = steps_per_window(cfg.horizon, h, "horizon")
     n = model.dim
-    m = model.brownian_dim
     if model.diffusion is None:
         raise DomainError("continuous classes need a diffusion map")
 
     states = np.empty((k_hist + n_steps + 1, n))
     states[:k_hist + 1] = _history_on_grid(xi, k_hist, tau)
     dint = np.zeros((k_hist + n_steps + 1, n))
-    dw = stream.gaussian_block(0, n_steps, m) * math.sqrt(h)
+    dw = stream.gaussian_block(0, n_steps, model.brownian_dim) * math.sqrt(h)
     view = _UniformSegView(states, h, tau, k_hist)
-    drift = model.drift
-    diffusion = model.diffusion
+    neutral = model.model_class is ModelClass.NEUTRAL
+    y = view.zero() - model.neutral_map(view) if neutral else None
+    not_done = np.zeros((), dtype=bool)
     guard = cfg.divergence_guard
 
     max_iters = 0
-    if neutral:
-        g_map = model.neutral_map
-        y = states[k_hist] - g_map(view)
-
-        def g_of():
-            return g_map(view)
-        not_done = np.zeros(1, dtype=bool)
-
     end = k_hist + n_steps
     diverged = False
     diverged_at = None
     for k in range(n_steps):
         head = k_hist + k
-        view.head = head
-        t = k * h
-        b = drift(t, view)
-        sig = diffusion(t, view)
-        incr = b * h + sig @ dw[k]
+        b, it = _euler_step(model, view, y, dw[k], k * h, h, not_done, cfg)
         dint[head + 1] = dint[head] + b * h
-        if neutral:
-            y = y + incr
-            view.head = head + 1
-            states[head + 1] = states[head]
-            it = _solve_newest(states[head + 1:head + 2], y, g_of, not_done, cfg, t + h)
-            if it > max_iters:
-                max_iters = it
-        else:
-            states[head + 1] = states[head] + incr
+        if it > max_iters:
+            max_iters = it
         if _out_of_guard(states[head + 1], guard):
             diverged = True
             diverged_at = (k + 1) * h

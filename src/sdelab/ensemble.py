@@ -3,8 +3,8 @@
 Two routes produce the same per-path numbers:
 
 * a vectorized kernel that steps all paths of an ensemble simultaneously on a
-  rolling window buffer -- available for the built-in linear families of the
-  continuous classes, where the coefficient reads reduce to array gathers;
+  rolling window buffer -- used for the built-in families of the continuous
+  classes (those carrying a linear descriptor);
 * a generic fallback that simulates paths one by one through
   :func:`sdelab.engine.simulate` -- used for hand-rolled coefficients and for
   the jump class (whose exact-epoch grids differ per path).  It runs them on
@@ -12,11 +12,12 @@ Two routes produce the same per-path numbers:
 
 Because every path's noise is addressed by ``(master_seed, path_index, step,
 channel)``, the two routes consume identical randomness, and for the
-one-dimensional built-ins they produce bitwise-identical states (the batch
-arithmetic mirrors the per-path expressions operation for operation).  Both
-routes step by one contract from :mod:`sdelab.engine`: one guard predicate,
-one newest-point solver for the neutral class, and one divergence rule --
-a path (or coupled pair) is diverged from its first step out of the guard,
+built-ins they produce bitwise-identical states: both advance every path by
+the one Euler step :func:`sdelab.engine._euler_step`, which calls the
+model's own drift, diffusion and neutral map on a segment view -- here over
+the block of all paths.  Both routes also share one guard predicate, one
+newest-point solver for the neutral class, and one divergence rule -- a
+path (or coupled pair) is diverged from its first step out of the guard,
 and observers never see it at or after that step.  The batch kernel writes
 NaN into the rows of diverged paths; the per-path route stops feeding them.
 :func:`refuse_divergence` is the one rule by which estimators refuse an
@@ -37,16 +38,18 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 
 from .errors import DivergenceError, DomainError
-from .models import (
-    LinearRetardedDescriptor,
-    ModelClass,
-    NeutralLinearDescriptor,
-    PointConstant,
-    PointVariable,
+from .models import LinearRetardedDescriptor, ModelClass, NeutralLinearDescriptor
+from .engine import (
+    SimConfig,
+    _UniformSegView,
+    _euler_step,
+    _history_on_grid,
+    _out_of_guard,
+    simulate,
+    steps_per_window,
 )
-from .engine import SimConfig, _out_of_guard, _solve_newest, simulate, steps_per_window
 from .noise import NoiseStream
-from .paths import Segment, evaluate
+from .paths import Segment
 
 __all__ = [
     "WindowRecorder",
@@ -199,38 +202,8 @@ def run_ensemble(model, xi, cfg: SimConfig, n_paths: int, observer,
 # batch kernel (continuous built-ins)
 # ---------------------------------------------------------------------------
 
-def _read_back(buf, head, back):
-    """Gather the value ``back`` steps behind ``head`` (fractional allowed).
-
-    Mirrors the per-path segment view's interpolation expression exactly.
-    """
-    r = round(back)
-    if abs(back - r) < 1e-9 * max(1.0, back):
-        return buf[:, head - int(r)]
-    i = int(math.floor(back))
-    w = back - i
-    lo = buf[:, head - i - 1]
-    hi = buf[:, head - i]
-    return w * lo + (1.0 - w) * hi
-
-
-def _delayed_batch(buf, head, delay, t, h, tau):
-    if isinstance(delay, PointConstant):
-        return _read_back(buf, head, delay.lag / h)
-    if isinstance(delay, PointVariable):
-        d = float(delay.delta(t))
-        if d < -1e-12 or d > tau + 1e-12:
-            raise DomainError(f"variable delay {d!r} outside [0, tau] at t={t!r}")
-        return _read_back(buf, head, min(max(d, 0.0), tau) / h)
-    acc = delay.weights[0] * _read_back(buf, head, -delay.atoms[0] / h)
-    for a, w in zip(delay.atoms[1:], delay.weights[1:]):
-        acc = acc + w * _read_back(buf, head, -a / h)
-    return acc
-
-
 def _run_batch(model, xi, cfg, n_paths, observer, path_offset, eta):
-    desc = model.descriptor
-    neutral = isinstance(desc, NeutralLinearDescriptor)
+    neutral = model.model_class is ModelClass.NEUTRAL
     h = cfg.step
     tau = model.tau
     n = model.dim
@@ -240,20 +213,15 @@ def _run_batch(model, xi, cfg, n_paths, observer, path_offset, eta):
 
     chunk = max(1, min(_CHUNK_STEPS, _CHUNK_PATH_STEPS // n_paths))
     cap = k_hist + 1 + chunk
-    grid = np.linspace(-tau, 0.0, k_hist + 1)
 
     def init_buf(seg):
         buf = np.empty((n_paths, cap, n))
-        hist = np.stack([evaluate(seg, th) for th in grid])
-        buf[:, :k_hist + 1] = hist[None, :, :]
+        buf[:, :k_hist + 1] = _history_on_grid(seg, k_hist, tau)
         return buf
 
     bufs = [init_buf(seg) for seg in ([xi] if eta is None else [xi, eta])]
+    views = [_UniformSegView(buf, h, tau, k_hist) for buf in bufs]
     head = k_hist
-
-    sig = desc.sigma0
-    a_coef, b_coef, delay = desc.a, desc.b_lag, desc.delay
-    kappa = desc.kappa if neutral else 0.0
     guard = cfg.divergence_guard
 
     outcome = EnsembleOutcome(n_paths)
@@ -262,9 +230,7 @@ def _run_batch(model, xi, cfg, n_paths, observer, path_offset, eta):
     def wins():
         return [buf[:, head - k_hist:head + 1] for buf in bufs]
 
-    if neutral:
-        ys = [buf[:, head] - kappa * _delayed_batch(buf, head, delay, 0.0, h, tau)
-              for buf in bufs]
+    ys = [view.zero() - model.neutral_map(view) if neutral else None for view in views]
 
     observer.see_batch(0, *wins())
 
@@ -272,11 +238,10 @@ def _run_batch(model, xi, cfg, n_paths, observer, path_offset, eta):
 
     for k0 in range(0, n_steps, chunk):
         span = min(chunk, n_steps - k0)
-        if m > 0:
-            dw = np.empty((n_paths, span, m))
-            for p, st in enumerate(streams):
-                dw[p] = st.gaussian_block(k0, span, m)
-            dw *= math.sqrt(h)
+        dw = np.empty((n_paths, span, m))
+        for p, st in enumerate(streams):
+            dw[p] = st.gaussian_block(k0, span, m)
+        dw *= math.sqrt(h)
         for j in range(span):
             k = k0 + j
             if head + 1 >= cap:
@@ -284,21 +249,11 @@ def _run_batch(model, xi, cfg, n_paths, observer, path_offset, eta):
                 for buf in bufs:
                     buf[:, :k_hist + 1] = buf[:, shift:head + 1]
                 head = k_hist
-            t = k * h
 
-            for i, buf in enumerate(bufs):
-                b = -a_coef * buf[:, head] + b_coef * _delayed_batch(buf, head, delay, t, h, tau)
-                incr = b * h + dw[:, j] @ sig.T if m > 0 else b * h
-                if neutral:
-                    ys[i] = ys[i] + incr
-                    buf[:, head + 1] = buf[:, head]
-                    it = _solve_newest(
-                        buf[:, head + 1], ys[i],
-                        lambda: kappa * _delayed_batch(buf, head + 1, delay, 0.0, h, tau),
-                        diverged, cfg, t + h)
-                    outcome.max_fixed_point_iters = max(outcome.max_fixed_point_iters, it)
-                else:
-                    buf[:, head + 1] = buf[:, head] + incr
+            for view, y in zip(views, ys):
+                view.head = head
+                _, it = _euler_step(model, view, y, dw[:, j], k * h, h, diverged, cfg)
+                outcome.max_fixed_point_iters = max(outcome.max_fixed_point_iters, it)
 
             bad = _out_of_guard(bufs[0][:, head + 1], guard)
             for buf in bufs[1:]:

@@ -8,9 +8,11 @@ A ``ModelSpec`` bundles the coefficient maps of one equation:
 
 Coefficients take the running segment (anything implementing ``zero()`` /
 ``eval(theta)`` / ``sup_norm()``) and return length-n vectors.  The built-in
-linear families attach a structural descriptor that the vectorized ensemble
-engine and the analytic rate calculators recognize; hand-rolled coefficient
-maps work everywhere through the generic per-path engine.
+continuous families are written with broadcasting, so the vectorized
+ensemble engine calls them once on a block of paths, whose reads return one
+row per path; their structural descriptor marks them for that engine and
+for the analytic rate calculators.  Hand-rolled coefficient maps work
+everywhere through the generic per-path engine.
 """
 
 from __future__ import annotations

@@ -232,6 +232,19 @@ class TestDiffusionDomination:
         # the witness reproduces the violation at the reported margin
         assert replay["violation"] == pytest.approx(verdict.margin, rel=1e-9)
 
+    def test_near_identical_pair_beside_large_pairs_is_not_identical(self):
+        # this sample holds two constant segments 2.2e-4 apart next to pairs
+        # with L in the 1e4s; a tolerance scaled by the whole sample's largest
+        # L took them for identical and reported alpha3 = inf, which the
+        # witness could not replay
+        sampler = SegmentPairSampler(tau=1.0, unbounded=True, seed=1234039865)
+        verdict = check_diffusion_domination(quadratic_sigma_model(), sampler=sampler)
+        assert verdict.status is VerdictStatus.FAIL_WITH_WITNESS
+        assert math.isfinite(verdict.constants["alpha3"])
+        replay = replay_witness(quadratic_sigma_model(), verdict)
+        assert replay["violated"]
+        assert replay["violation"] == pytest.approx(verdict.margin, rel=1e-9)
+
     def test_quadratic_sigma_passes_locally_on_bounded_sampler(self):
         verdict = check_diffusion_domination(quadratic_sigma_model())
         assert verdict.status is VerdictStatus.PASS_WITH_CONSTANTS

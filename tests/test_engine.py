@@ -26,7 +26,7 @@ from sdelab import (
     simulate,
     simulate_coupled,
 )
-from sdelab.engine import steps_per_window
+from sdelab.engine import _UniformSegView, steps_per_window
 
 from helpers import retarded_model
 
@@ -310,6 +310,30 @@ def test_step_kind_initial_jump_flags_survive():
     assert abs(traj.times[i] + 0.4) < 1e-12
     assert traj.jump_flags[i]
     assert traj.states[i, 0] == 1.0 and traj.states[i - 1, 0] == 0.0
+
+
+# ---------------------------------------------------------------------------
+# segment view with a rows axis
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_segment_view_block_reads_equal_row_reads(dim):
+    # h = 0.1, tau = 1: 10 history steps; the head sits past the window start
+    rng = np.random.default_rng(7)
+    block = rng.normal(size=(5, 16, dim))
+    view = _UniformSegView(block, 0.1, 1.0, 10)
+    rows = [_UniformSegView(block[r], 0.1, 1.0, 10) for r in range(5)]
+    for head in (10, 13, 15):
+        view.head = head
+        for row in rows:
+            row.head = head
+        reads = [(lambda v: v.zero(), (5, dim)), (lambda v: v.sup_norm(), (5,))] + [
+            (lambda v, th=th: v.eval(th), (5, dim))
+            for th in (0.0, -0.3, -1.0, -0.27, -0.95)]
+        for read, shape in reads:
+            got = read(view)
+            assert got.shape == shape
+            assert np.array_equal(got, np.stack([read(row) for row in rows]))
 
 
 # ---------------------------------------------------------------------------

@@ -6,8 +6,10 @@ import numpy as np
 import pytest
 
 from sdelab import (
+    Distributed,
     DomainError,
     PointConstant,
+    PointVariable,
     Segment,
     SimConfig,
     UniformSigns,
@@ -42,43 +44,76 @@ def recorder(steps, n_paths):
 # engine equivalence: vectorized kernel vs per-path fallback
 # ---------------------------------------------------------------------------
 
-def test_batch_kernel_matches_per_path_engine_retarded():
-    model = linear_retarded(3.0, 1.0, 0.5, PointConstant(1.0), 1.0)
+def every_state(n_steps, n_paths, dim):
+    """Record every coordinate of the newest point at every step."""
+    fns = {f"x{i}": (lambda *wins, i=i: wins[0][..., -1, i]) for i in range(dim)}
+    return WindowRecorder(range(n_steps + 1), fns, n_paths)
+
+
+def assert_routes_agree(model, xi, cfg, n_paths):
+    """The batch kernel and the per-path route give bitwise-equal states."""
     assert supports_batch(model)
-    cfg = SimConfig(step=0.05, horizon=3.0, master_seed=13)
-    steps = [0, 7, 30, 60]
-    rec_b = recorder(steps, 6)
-    out_b = run_ensemble(model, ONES, cfg, 6, rec_b)
-    rec_g = recorder(steps, 6)
-    out_g = _run_generic(model, ONES, cfg, 6, rec_g, 0, None)
-    assert np.array_equal(rec_b.out["x"], rec_g.out["x"])  # bitwise
+    n_steps = round(cfg.horizon / cfg.step)
+    rec_b = every_state(n_steps, n_paths, model.dim)
+    out_b = run_ensemble(model, xi, cfg, n_paths, rec_b)
+    rec_g = every_state(n_steps, n_paths, model.dim)
+    out_g = _run_generic(model, xi, cfg, n_paths, rec_g, 0, None)
+    for name in rec_b.out:
+        assert np.array_equal(rec_b.out[name], rec_g.out[name])  # bitwise
     assert out_b.n_diverged == out_g.n_diverged == 0
-
-
-def test_batch_kernel_matches_per_path_engine_neutral():
-    model = neutral_linear(0.25, PointConstant(1.0), 3.0, 0.5, 0.5, 1.0)
-    assert supports_batch(model)
-    cfg = SimConfig(step=0.05, horizon=2.0, master_seed=5)
-    steps = [0, 10, 25, 40]
-    rec_b = recorder(steps, 4)
-    out_b = run_ensemble(model, ONES, cfg, 4, rec_b)
-    rec_g = recorder(steps, 4)
-    out_g = _run_generic(model, ONES, cfg, 4, rec_g, 0, None)
-    assert np.array_equal(rec_b.out["x"], rec_g.out["x"])
     assert out_b.max_fixed_point_iters == out_g.max_fixed_point_iters
 
 
-def test_batch_kernel_matches_engine_with_distributed_lag():
-    from sdelab import Distributed
-    lag = Distributed(atoms=(-1.0, -0.5), weights=(0.5, 0.5))
-    model = linear_retarded(3.0, 1.0, 0.5, lag, 1.0)
-    cfg = SimConfig(step=0.05, horizon=2.0, master_seed=3)
-    steps = [0, 20, 40]
-    rec_b = recorder(steps, 3)
-    run_ensemble(model, ONES, cfg, 3, rec_b)
-    rec_g = recorder(steps, 3)
-    _run_generic(model, ONES, cfg, 3, rec_g, 0, None)
-    assert np.allclose(rec_b.out["x"], rec_g.out["x"], atol=1e-13, rtol=0)
+# lags on and off the step grid (h = 0.05) for every delay kind
+POINT_DELAYS = {
+    "point-integer": PointConstant(1.0),
+    "point-fractional": PointConstant(0.73),
+}
+DISTRIBUTED_DELAYS = {
+    "distributed-integer": Distributed(atoms=(-1.0, -0.5), weights=(0.5, 0.5)),
+    "distributed-fractional": Distributed(atoms=(-0.93, -0.31, 0.0),
+                                          weights=(0.5, 0.3, 0.2)),
+}
+VARIABLE_DELAYS = {
+    "variable-integer": PointVariable(lambda t: 1.0 if t < 1.0 else 0.5),
+    "variable-fractional": PointVariable(lambda t: 0.6 + 0.3 * math.sin(t)),
+}
+RETARDED_DELAYS = {**POINT_DELAYS, **VARIABLE_DELAYS, **DISTRIBUTED_DELAYS}
+# the neutral map takes a segment alone, so it has no time-variable lag
+NEUTRAL_DELAYS = {**POINT_DELAYS, **DISTRIBUTED_DELAYS}
+
+
+@pytest.mark.parametrize("delay", RETARDED_DELAYS.values(), ids=RETARDED_DELAYS.keys())
+def test_batch_kernel_matches_per_path_engine_retarded(delay):
+    model = linear_retarded(3.0, 1.0, 0.5, delay, 1.0)
+    assert_routes_agree(model, ONES, SimConfig(step=0.05, horizon=3.0, master_seed=13), 6)
+
+
+@pytest.mark.parametrize("delay", NEUTRAL_DELAYS.values(), ids=NEUTRAL_DELAYS.keys())
+def test_batch_kernel_matches_per_path_engine_neutral(delay):
+    model = neutral_linear(0.25, delay, 3.0, 0.5, 0.5, 1.0)
+    assert_routes_agree(model, ONES, SimConfig(step=0.05, horizon=2.0, master_seed=5), 4)
+
+
+@pytest.mark.parametrize("factory", [
+    lambda sig: linear_retarded(3.0, 1.0, sig, PointConstant(0.73), 1.0, dim=2),
+    lambda sig: neutral_linear(0.25, PointConstant(0.73), 3.0, 1.0, sig, 1.0, dim=2),
+], ids=["retarded", "neutral"])
+def test_batch_kernel_matches_per_path_engine_two_dimensional(factory):
+    # a full (non-diagonal) diffusion matrix mixes both noise channels into
+    # each coordinate; both routes must sum them in the same order
+    model = factory(np.array([[0.5, 0.2], [-0.3, 0.4]]))
+    xi = Segment.constant(np.array([1.0, -0.5]), 1.0)
+    assert_routes_agree(model, xi, SimConfig(step=0.05, horizon=3.0, master_seed=13), 6)
+
+
+@pytest.mark.parametrize("run", [run_ensemble, _run_generic], ids=["batch", "per-path"])
+def test_variable_lag_leaving_the_window_raises_on_both_routes(run):
+    # delta(t) = 0.5 + t passes tau = 1 after t = 0.5
+    model = linear_retarded(3.0, 1.0, 0.5, PointVariable(lambda t: 0.5 + t), 1.0)
+    cfg = SimConfig(step=0.05, horizon=2.0, master_seed=13)
+    with pytest.raises(DomainError, match="outside"):
+        run(model, ONES, cfg, 2, recorder([0], 2), 0, None)
 
 
 def test_generic_models_take_the_fallback_route():
