@@ -32,7 +32,7 @@ import numpy as np
 from .errors import DomainError, FixedPointError
 from .models import ModelClass, ModelSpec
 from .noise import NoiseStream
-from .paths import Segment, SegmentKind, evaluate, evaluate_left
+from .paths import Segment, SegmentKind, evaluate_many
 
 __all__ = [
     "SimConfig",
@@ -296,22 +296,15 @@ def sample_poisson_measure(intensity: float, mark_law, horizon: float,
         raise DomainError("intensity must be >= 0")
     if intensity == 0.0:
         return np.empty(0), np.empty(0)
-    epochs = []
-    t = 0.0
+    # blocks of 64 gaps until one crosses the horizon; np.cumsum adds the
+    # gaps one at a time, as a sequential ``t += g`` does
+    epochs = np.empty(0)
     start = 0
-    block = 64
-    while True:
-        u = stream.epoch_uniforms(start, block)
-        gaps = -np.log(u) / intensity
-        for g in gaps:
-            t += g
-            if t > horizon:
-                break
-            epochs.append(t)
-        if t > horizon:
-            break
-        start += block
-    epochs = np.asarray(epochs)
+    while epochs.size == start:
+        gaps = -np.log(stream.epoch_uniforms(start, 64)) / intensity
+        ts = np.cumsum(np.concatenate(([epochs[-1] if start else 0.0], gaps)))[1:]
+        epochs = np.concatenate([epochs, ts[ts <= horizon]])
+        start += 64
     marks = mark_law.from_uniform(stream.mark_uniforms(0, epochs.size)) if epochs.size else np.empty(0)
     return epochs, np.asarray(marks, dtype=float)
 
@@ -358,8 +351,7 @@ def _check_initial(model: ModelSpec, xi: Segment):
 
 
 def _history_on_grid(xi: Segment, k_hist: int, tau: float) -> np.ndarray:
-    grid = np.linspace(-tau, 0.0, k_hist + 1)
-    return np.stack([evaluate(xi, th) for th in grid])
+    return evaluate_many(xi, np.linspace(-tau, 0.0, k_hist + 1))[0]
 
 
 def _simulate_continuous(model, xi, cfg, stream) -> Trajectory:
@@ -411,36 +403,40 @@ def _simulate_continuous(model, xi, cfg, stream) -> Trajectory:
     )
 
 
+def _insert_nodes(base, extra):
+    """Merge the sorted times ``extra`` into the sorted nodes ``base``.
+
+    An extra time within ``_NODE_ATOL`` of a node of ``base`` lands on that
+    node (the node at or after it is tried first, then the one before); any
+    other extra time becomes a new node.  Returns the merged times and the
+    node index of each extra time.
+    """
+    extra = np.asarray(extra, dtype=float)
+    i = np.searchsorted(base, extra)
+    on_right = i < base.size
+    on_right[on_right] = np.abs(base[i[on_right]] - extra[on_right]) < _NODE_ATOL
+    on_left = ~on_right & (i > 0)
+    on_left[on_left] = np.abs(base[i[on_left] - 1] - extra[on_left]) < _NODE_ATOL
+    new = ~(on_right | on_left)
+    # every node moves up by the number of new nodes inserted before it
+    node = i - on_left + np.cumsum(new) - new
+    return np.insert(base, i[new], extra[new]), node
+
+
 def _jump_nodes(xi: Segment, tau: float, h: float, k_hist: int, n_steps: int, epochs):
-    """History and forward node times with jump flags, epochs inserted exactly."""
-    hist_times = list(np.linspace(-tau, 0.0, k_hist + 1))
-    hist_flags = [False] * (k_hist + 1)
-    if xi.jump_flags.any():
-        for t_j in xi.grid[xi.jump_flags]:
-            if t_j <= -tau or t_j >= 0.0:
-                continue
-            i = int(np.searchsorted(hist_times, t_j))
-            if abs(hist_times[min(i, k_hist)] - t_j) < _NODE_ATOL:
-                hist_flags[min(i, k_hist)] = True
-            elif i > 0 and abs(hist_times[i - 1] - t_j) < _NODE_ATOL:
-                hist_flags[i - 1] = True
-            else:
-                hist_times.insert(i, float(t_j))
-                hist_flags.insert(i, True)
-    fwd_times = list(h * np.arange(1, n_steps + 1))
-    fwd_flags = [False] * len(fwd_times)
-    for e in epochs:
-        i = int(np.searchsorted(fwd_times, e))
-        if i < len(fwd_times) and abs(fwd_times[i] - e) < _NODE_ATOL:
-            fwd_flags[i] = True
-        elif i > 0 and abs(fwd_times[i - 1] - e) < _NODE_ATOL:
-            fwd_flags[i - 1] = True
-        else:
-            fwd_times.insert(i, float(e))
-            fwd_flags.insert(i, True)
-    times = np.concatenate([hist_times, fwd_times])
-    flags = np.array(hist_flags + fwd_flags, dtype=bool)
-    return times, flags
+    """Node times and jump flags of a jump path, the node of time 0 and the
+    node of each epoch: the window grid takes the interior jumps of ``xi``,
+    the forward grid the epochs."""
+    hist_jumps = xi.grid[xi.jump_flags]
+    hist_jumps = hist_jumps[(hist_jumps > -tau) & (hist_jumps < 0.0)]
+    hist, hist_node = _insert_nodes(np.linspace(-tau, 0.0, k_hist + 1), hist_jumps)
+    fwd, epoch_node = _insert_nodes(h * np.arange(1, n_steps + 1), epochs)
+    times = np.concatenate([hist, fwd])
+    epoch_node += hist.size
+    flags = np.zeros(times.size, dtype=bool)
+    flags[hist_node] = True
+    flags[epoch_node] = True
+    return times, flags, hist.size - 1, epoch_node
 
 
 def _simulate_jump(model, xi, cfg, stream) -> Trajectory:
@@ -452,13 +448,14 @@ def _simulate_jump(model, xi, cfg, stream) -> Trajectory:
 
     epochs, marks = sample_poisson_measure(model.intensity, model.mark_law,
                                            cfg.horizon, stream)
-    times, flags = _jump_nodes(xi, tau, h, k_hist, n_steps, epochs)
-    i_zero = int(np.searchsorted(times, 0.0))
+    times, flags, i_zero, epoch_node = _jump_nodes(xi, tau, h, k_hist, n_steps, epochs)
     n_nodes = times.size
+    node_mark = np.zeros(n_nodes)
+    for i, z in zip(epoch_node, marks):  # of two epochs on one node, the later mark wins
+        node_mark[i] = z
 
     states = np.empty((n_nodes, n))
-    for i in range(i_zero + 1):
-        states[i] = evaluate(xi, times[i])
+    states[:i_zero + 1] = evaluate_many(xi, times[:i_zero + 1])[0]
     dint = np.zeros((n_nodes, n))
 
     view = _CadlagSegView(states, times, tau)
@@ -466,14 +463,6 @@ def _simulate_jump(model, xi, cfg, stream) -> Trajectory:
     comp = model.jump_compensator
     jump_coeff = model.jump_coeff
     guard = cfg.divergence_guard
-
-    epoch_idx = {}
-    for j, e in enumerate(epochs):
-        i = int(np.searchsorted(times, e))
-        if i < n_nodes and abs(times[i] - e) < _NODE_ATOL:
-            epoch_idx[i] = j
-        elif i > 0 and abs(times[i - 1] - e) < _NODE_ATOL:
-            epoch_idx[i - 1] = j
 
     end = n_nodes - 1
     diverged = False
@@ -487,10 +476,10 @@ def _simulate_jump(model, xi, cfg, stream) -> Trajectory:
         x_pre = states[i] + applied * dt
         dint[i + 1] = dint[i] + b * dt
         states[i + 1] = x_pre
-        j = epoch_idx.get(i + 1)
-        if j is not None:
+        if flags[i + 1]:  # forward nodes are flagged only at epochs
             view.head = i + 1  # newest point is the left limit at the epoch
-            states[i + 1] = x_pre + jump_coeff(float(times[i + 1]), view, float(marks[j]))
+            states[i + 1] = x_pre + jump_coeff(float(times[i + 1]), view,
+                                               float(node_mark[i + 1]))
         if _out_of_guard(states[i + 1], guard):
             diverged = True
             diverged_at = float(times[i + 1])

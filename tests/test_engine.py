@@ -1,6 +1,7 @@
 """Stepping engine: configuration, correctness on solvable models, jumps."""
 
 import math
+import time
 
 import numpy as np
 import pytest
@@ -26,7 +27,8 @@ from sdelab import (
     simulate,
     simulate_coupled,
 )
-from sdelab.engine import _UniformSegView, steps_per_window
+from sdelab import engine
+from sdelab.engine import _UniformSegView, _jump_nodes, steps_per_window
 
 from helpers import retarded_model
 
@@ -310,6 +312,178 @@ def test_step_kind_initial_jump_flags_survive():
     assert abs(traj.times[i] + 0.4) < 1e-12
     assert traj.jump_flags[i]
     assert traj.states[i, 0] == 1.0 and traj.states[i - 1, 0] == 0.0
+
+
+# ---------------------------------------------------------------------------
+# the node table of a jump path
+# ---------------------------------------------------------------------------
+
+_ATOL = 1e-12
+
+
+def _reference_jump_nodes(xi, tau, h, k_hist, n_steps, epochs):
+    """List-insertion loop the node table replaced, with each epoch's node.
+
+    The history branch tests the node at the insertion index itself (the
+    replaced loop read ``hist_times[min(i, k_hist)]``, a stale bound once the
+    list had grown).
+    """
+    hist_times = list(np.linspace(-tau, 0.0, k_hist + 1))
+    hist_flags = [False] * (k_hist + 1)
+    for t_j in xi.grid[xi.jump_flags]:
+        if t_j <= -tau or t_j >= 0.0:
+            continue
+        i = int(np.searchsorted(hist_times, t_j))
+        if abs(hist_times[i] - t_j) < _ATOL:
+            hist_flags[i] = True
+        elif i > 0 and abs(hist_times[i - 1] - t_j) < _ATOL:
+            hist_flags[i - 1] = True
+        else:
+            hist_times.insert(i, float(t_j))
+            hist_flags.insert(i, True)
+    fwd_times = list(h * np.arange(1, n_steps + 1))
+    fwd_flags = [False] * len(fwd_times)
+    for e in epochs:
+        i = int(np.searchsorted(fwd_times, e))
+        if i < len(fwd_times) and abs(fwd_times[i] - e) < _ATOL:
+            fwd_flags[i] = True
+        elif i > 0 and abs(fwd_times[i - 1] - e) < _ATOL:
+            fwd_flags[i - 1] = True
+        else:
+            fwd_times.insert(i, float(e))
+            fwd_flags.insert(i, True)
+    times = np.concatenate([hist_times, fwd_times])
+    flags = np.array(hist_flags + fwd_flags, dtype=bool)
+    nodes = []
+    for e in epochs:
+        i = int(np.searchsorted(times, e))
+        if i < times.size and abs(times[i] - e) < _ATOL:
+            nodes.append(i)
+        elif i > 0 and abs(times[i - 1] - e) < _ATOL:
+            nodes.append(i - 1)
+    return times, flags, np.array(nodes, dtype=int)
+
+
+def _reference_epochs(intensity, horizon, stream):
+    """The sequential ``t += g`` epoch draw in blocks of 64 uniforms."""
+    epochs = []
+    t = 0.0
+    start = 0
+    while True:
+        for g in -np.log(stream.epoch_uniforms(start, 64)) / intensity:
+            t += g
+            if t > horizon:
+                return np.asarray(epochs)
+            epochs.append(t)
+        start += 64
+
+
+def _near(rng, nodes, count, offsets):
+    """``count`` times at random nodes, each moved by a random offset."""
+    picks = rng.choice(nodes, size=count)
+    return picks + rng.choice(offsets, size=count)
+
+
+def _random_node_inputs(rng):
+    tau = float(rng.choice([0.5, 1.0, 2.0]))
+    h = float(rng.choice([0.01, 0.02, 0.025, 0.1]))
+    k_hist = steps_per_window(tau, h, "tau")
+    horizon = h * int(rng.integers(10, 400))
+    n_steps = steps_per_window(horizon, h, "horizon")
+    hist_grid = np.linspace(-tau, 0.0, k_hist + 1)
+    # history jumps on, near and off the grid
+    on_near = _near(rng, hist_grid[1:-1], int(rng.integers(0, 4)),
+                    [0.0, 1e-14, -1e-14, 5e-13, -5e-13])
+    off = rng.uniform(-tau, 0.0, size=int(rng.integers(0, 4)))
+    jumps = np.unique(np.concatenate([on_near, off]))
+    jumps = jumps[(jumps > -tau + 1e-6) & (jumps < -1e-6)]
+    grid = np.concatenate([[-tau], jumps, [0.0]])
+    flags = np.zeros(grid.size, dtype=bool)
+    flags[1:-1] = True
+    xi = Segment(SegmentKind.CADLAG_STEP, grid, rng.normal(size=(grid.size, 1)), flags)
+    # epochs within 1e-14 and 5e-13 of a grid node land on it; 2e-12 off
+    # stays a node of its own
+    fwd_grid = h * np.arange(1, n_steps + 1)
+    epochs = np.unique(np.concatenate([
+        _near(rng, fwd_grid, int(rng.integers(0, 8)),
+              [0.0, 1e-14, -1e-14, 5e-13, -5e-13, 2e-12, -2e-12]),
+        rng.uniform(0.0, horizon, size=int(rng.integers(0, 100))),
+    ]))
+    epochs = epochs[(epochs > 0.0) & (epochs <= horizon)]
+    return xi, tau, h, k_hist, n_steps, epochs
+
+
+def test_node_table_equals_the_insertion_loop():
+    rng = np.random.default_rng(20261019)
+    for _ in range(300):
+        args = _random_node_inputs(rng)
+        times, flags, i_zero, epoch_node = _jump_nodes(*args)
+        ref_times, ref_flags, ref_nodes = _reference_jump_nodes(*args)
+        assert np.array_equal(times, ref_times)
+        assert np.array_equal(flags, ref_flags)
+        assert np.array_equal(epoch_node, ref_nodes)
+        assert times[i_zero] == 0.0 and np.all(times[:i_zero] < 0.0)
+
+
+def test_near_epochs_land_on_the_grid_node():
+    xi = Segment.constant(np.array([0.0]), 1.0, kind=SegmentKind.CADLAG_STEP)
+    g = 0.1 * np.arange(1, 11)
+    epochs = np.array([g[0] - 1e-14, g[2] + 5e-13, g[4] - 5e-13, g[6] + 2e-12,
+                       g[8] - 2e-12])
+    times, flags, i_zero, epoch_node = _jump_nodes(xi, 1.0, 0.1, 10, 10, epochs)
+    assert times.size == 11 + 10 + 2
+    assert np.array_equal(times[epoch_node[:3]], g[[0, 2, 4]])
+    assert times[epoch_node[3]] == epochs[3] and times[epoch_node[4]] == epochs[4]
+    assert np.array_equal(np.flatnonzero(flags), epoch_node)
+
+
+def test_on_grid_history_jump_after_inserted_ones_is_not_duplicated():
+    tau, h = 1.0, 0.01
+    k_hist = steps_per_window(tau, h, "tau")
+    on_grid = np.linspace(-tau, 0.0, k_hist + 1)[k_hist - 1]  # theta = -0.01
+    grid = np.array([-tau, -0.505, -0.205, on_grid, 0.0])
+    xi = Segment(SegmentKind.CADLAG_STEP, grid, np.arange(5.0)[:, None],
+                 np.array([False, True, True, True, False]))
+    times, flags, i_zero, _ = _jump_nodes(xi, tau, h, k_hist, 10, np.empty(0))
+    assert np.all(np.diff(times) > 0)
+    assert i_zero + 1 == 103
+    assert np.array_equal(times[flags], [-0.505, -0.205, on_grid])
+
+
+def test_two_epochs_on_one_node_apply_the_later_mark(monkeypatch):
+    epochs = np.array([0.5 - 1e-14, 0.5 + 1e-14])
+    monkeypatch.setattr(engine, "sample_poisson_measure",
+                        lambda *args: (epochs, np.array([1.0, -1.0])))
+    cfg = SimConfig(step=0.1, horizon=1.0)
+    traj = simulate(zero_jump_drift_model(), ONES, cfg)
+    assert traj.times.size == 21 and traj.jump_flags.sum() == 1
+    i = int(np.flatnonzero(traj.jump_flags)[0])
+    assert traj.states[i - 1, 0] == 1.0 and traj.states[i, 0] == 1.0 - 0.3
+
+
+def test_epochs_equal_the_sequential_draw():
+    rng = np.random.default_rng(7)
+    law = UniformSigns()
+    for _ in range(200):
+        seed, path = (int(x) for x in rng.integers(0, 2**31, size=2))
+        intensity = float(rng.choice([0.5, 2.0, 20.0])) * rng.uniform(0.5, 2.0)
+        horizon = float(rng.uniform(0.1, 20.0))  # lambda T up to 800 crosses blocks
+        epochs, marks = sample_poisson_measure(intensity, law, horizon,
+                                               NoiseStream(seed, path))
+        ref = _reference_epochs(intensity, horizon, NoiseStream(seed, path))
+        assert epochs.size == ref.size == marks.size
+        assert np.array_equal(epochs, ref)
+
+
+def test_node_table_builds_in_linear_time():
+    # lambda = 20 over T = 200: about 4 000 epochs on a 20 000-node grid
+    t0 = time.perf_counter()
+    epochs, _ = sample_poisson_measure(20.0, UniformSigns(), 200.0, NoiseStream(3, 0))
+    xi = Segment.constant(np.array([0.0]), 1.0, kind=SegmentKind.CADLAG_STEP)
+    times, _, _, epoch_node = _jump_nodes(xi, 1.0, 0.01, 100, 20_000, epochs)
+    elapsed = time.perf_counter() - t0
+    assert epochs.size > 3_500 and times.size == 101 + 20_000 + epochs.size
+    assert elapsed < 0.5
 
 
 # ---------------------------------------------------------------------------
