@@ -16,8 +16,10 @@ constants by a small linear feasibility program:
   relative 1e-6 so every sampled inequality is strict;
 * one-constant domination displays take the worst sampled ratio.
 
-Fitted constants therefore certify the sampled set with a stated margin;
-on linear models they recover the exact algebraic constants.
+Fitted constants therefore certify the sampled set with a stated margin.
+They are only as exact as the sample makes them: ``alpha2`` is the smallest
+value on the sampled ridge of gap maximizers, which the sample need not pin
+down, so on a linear model it can fall below the algebraic constant.
 """
 
 from __future__ import annotations

@@ -1,11 +1,16 @@
 """Per-path simulation engine.
 
 Euler-Maruyama stepping for the three model classes, on a uniform grid of
-step ``h`` that exactly subdivides ``tau``.  For the jump class the Poisson
-epochs are inserted as extra grid nodes so that jumps land at their exact
-times rather than being binned into steps.  Neutral models evolve the
+step ``h`` that exactly subdivides ``tau``.  Neutral models evolve the
 transformed state ``Y = X - G(X_t)`` and recover the newest point of ``X``
 by a contraction fixed-point iteration.
+
+A jump path lives on one node table: the uniform grid with the initial
+segment's jumps and the Poisson epochs merged in by :func:`_insert_nodes`,
+so jumps land at their exact times.  Every read of a jump path (delayed
+drift reads, observer windows, extracted segments) finds its node by one
+rule, :func:`_node_index`: the last node at or before the time (strictly
+before, for a left limit), a node within ``_NODE_ATOL`` counting as at it.
 
 Randomness comes exclusively from a :class:`~sdelab.noise.NoiseStream`, so a
 trajectory is a pure function of ``(model, initial segment, config,
@@ -183,6 +188,20 @@ class _UniformSegView:
         return np.sqrt((win ** 2).sum(axis=-1)).max(axis=-1)
 
 
+def _node_index(times, t, left=False):
+    """The last node of ``times`` at or before ``t`` (strictly before it for
+    the left limit); a node within ``_NODE_ATOL`` of ``t`` counts as at ``t``.
+
+    ``t`` may be a scalar or an array.  Times before the first node read the
+    first node.
+    """
+    if left:
+        i = np.searchsorted(times, t - _NODE_ATOL, side="left")
+    else:
+        i = np.searchsorted(times, t + _NODE_ATOL, side="right")
+    return np.maximum(i - 1, 0)
+
+
 class _CadlagSegView:
     """Segment protocol over a non-uniform cadlag node history (jump class)."""
 
@@ -200,14 +219,12 @@ class _CadlagSegView:
     def eval(self, theta):
         if theta == 0.0:
             return self.states[self.head]
-        t = self.times[self.head] + theta
-        i = int(np.searchsorted(self.times[:self.head + 1], t, side="right")) - 1
-        return self.states[max(i, 0)]
+        past = self.times[:self.head + 1]
+        return self.states[_node_index(past, past[-1] + theta)]
 
     def sup_norm(self):
-        t0 = self.times[self.head] - self.tau
-        i0 = int(np.searchsorted(self.times[:self.head + 1], t0, side="right")) - 1
-        win = self.states[max(i0, 0):self.head + 1]
+        past = self.times[:self.head + 1]
+        win = self.states[_node_index(past, past[-1] - self.tau):self.head + 1]
         if win.shape[1] == 1:
             return float(np.abs(win).max())
         return float(np.sqrt((win ** 2).sum(axis=1)).max())
@@ -501,15 +518,13 @@ def _simulate_jump(model, xi, cfg, stream) -> Trajectory:
 # segment extraction
 # ---------------------------------------------------------------------------
 
-def _path_value(traj: Trajectory, t: float, left: bool = False) -> np.ndarray:
+def _path_value(traj: Trajectory, t: float) -> np.ndarray:
     times = traj.times
     if t < times[0] - _NODE_ATOL or t > times[-1] + _NODE_ATOL:
         raise DomainError(f"time {t!r} outside the simulated range")
     t = min(max(t, float(times[0])), float(times[-1]))
     if traj.kind is SegmentKind.CADLAG_STEP:
-        side = "left" if left else "right"
-        i = int(np.searchsorted(times, t, side=side)) - 1
-        return traj.states[max(i, 0)]
+        return traj.states[_node_index(times, t)]
     i = int(np.searchsorted(times, t))
     if i < times.size and times[i] == t:
         return traj.states[i]
@@ -535,32 +550,23 @@ def _extract(traj: Trajectory, t: float, cfg: SimConfig | None, left: bool) -> S
         vals = np.stack([_path_value(traj, t + th) for th in grid])
         return Segment(SegmentKind.CONTINUOUS_LINEAR, grid, vals)
 
-    # jump class: include the recorded nodes (epochs and carried flags) so the
-    # segment is the exact window copy and jump flags survive extraction
-    lo, hi = t - tau, t
-    inside = (traj.times > lo + _NODE_ATOL) & (traj.times < hi - _NODE_ATOL)
-    extra = traj.times[inside]
-    extra_flags = traj.jump_flags[inside]
-    thetas = np.concatenate([grid, extra - t])
-    flags = np.concatenate([np.zeros(grid.size, dtype=bool), extra_flags])
-    order = np.argsort(thetas, kind="stable")
-    merged_t: list[float] = []
-    merged_f: list[bool] = []
-    for th, fl in zip(thetas[order], flags[order]):
-        if merged_t and th - merged_t[-1] <= _NODE_ATOL:
-            merged_f[-1] = merged_f[-1] or bool(fl)
-        else:
-            merged_t.append(float(th))
-            merged_f.append(bool(fl))
-    merged_t[0], merged_t[-1] = -tau, 0.0
-    if traj.jump_flags.any() and not left:
-        if np.any(np.abs(traj.times[traj.jump_flags] - t) < _NODE_ATOL):
-            merged_f[-1] = True
-    vals = np.stack([
-        _path_value(traj, t + th, left=left and th == 0.0) for th in merged_t
-    ])
-    return Segment(SegmentKind.CADLAG_STEP, np.array(merged_t), vals,
-                   np.array(merged_f, dtype=bool))
+    # jump class: the nodes strictly inside the window (epochs and carried
+    # flags) are merged into the grid, so the segment is the exact window
+    # copy and jump flags survive extraction
+    times = traj.times
+    before_t = _node_index(times, t, left=True)
+    inner = slice(_node_index(times, t - tau) + 1, before_t + 1)
+    thetas, node = _insert_nodes(grid, times[inner] - t)
+    flags = np.zeros(thetas.size, dtype=bool)
+    flags[node[traj.jump_flags[inner]]] = True
+    if not left:
+        # the two lookups differ exactly when a node sits at t
+        at_t = _node_index(times, t)
+        flags[-1] = at_t != before_t and traj.jump_flags[at_t]
+    idx = _node_index(times, t + thetas)
+    if left:
+        idx[-1] = before_t
+    return Segment(SegmentKind.CADLAG_STEP, thetas, traj.states[idx], flags)
 
 
 def extract_segment(traj: Trajectory, t: float, cfg: SimConfig | None = None) -> Segment:

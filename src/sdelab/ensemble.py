@@ -44,6 +44,7 @@ from .engine import (
     _UniformSegView,
     _euler_step,
     _history_on_grid,
+    _node_index,
     _out_of_guard,
     simulate,
     steps_per_window,
@@ -276,13 +277,6 @@ def _run_batch(model, xi, cfg, n_paths, observer, path_offset, eta):
 # generic per-path fallback
 # ---------------------------------------------------------------------------
 
-def _cadlag_window(traj, t, tau):
-    times = traj.times
-    i1 = int(np.searchsorted(times, t + 1e-12, side="right")) - 1
-    i0 = int(np.searchsorted(times, t - tau + 1e-12, side="right")) - 1
-    return traj.states[max(i0, 0):i1 + 1]
-
-
 def _run_generic(model, xi, cfg, n_paths, observer, path_offset, eta):
     outcome = EnsembleOutcome(n_paths)
     h = cfg.step
@@ -294,7 +288,8 @@ def _run_generic(model, xi, cfg, n_paths, observer, path_offset, eta):
 
     if model.model_class is ModelClass.JUMP:
         def window(traj, k):
-            return _cadlag_window(traj, k * h, tau)
+            times, t = traj.times, k * h
+            return traj.states[_node_index(times, t - tau):_node_index(times, t) + 1]
     else:
         def window(traj, k):
             return traj.states[k:k + k_hist + 1]

@@ -28,7 +28,7 @@ from sdelab import (
     simulate_coupled,
 )
 from sdelab import engine
-from sdelab.engine import _UniformSegView, _jump_nodes, steps_per_window
+from sdelab.engine import _CadlagSegView, _UniformSegView, _jump_nodes, steps_per_window
 
 from helpers import retarded_model
 
@@ -425,18 +425,6 @@ def test_node_table_equals_the_insertion_loop():
         assert times[i_zero] == 0.0 and np.all(times[:i_zero] < 0.0)
 
 
-def test_near_epochs_land_on_the_grid_node():
-    xi = Segment.constant(np.array([0.0]), 1.0, kind=SegmentKind.CADLAG_STEP)
-    g = 0.1 * np.arange(1, 11)
-    epochs = np.array([g[0] - 1e-14, g[2] + 5e-13, g[4] - 5e-13, g[6] + 2e-12,
-                       g[8] - 2e-12])
-    times, flags, i_zero, epoch_node = _jump_nodes(xi, 1.0, 0.1, 10, 10, epochs)
-    assert times.size == 11 + 10 + 2
-    assert np.array_equal(times[epoch_node[:3]], g[[0, 2, 4]])
-    assert times[epoch_node[3]] == epochs[3] and times[epoch_node[4]] == epochs[4]
-    assert np.array_equal(np.flatnonzero(flags), epoch_node)
-
-
 def test_on_grid_history_jump_after_inserted_ones_is_not_duplicated():
     tau, h = 1.0, 0.01
     k_hist = steps_per_window(tau, h, "tau")
@@ -615,6 +603,58 @@ def test_extract_segment_left_at_a_jump():
     flagged = post.grid[post.jump_flags]
     for t_j in inner:
         assert np.any(np.abs(flagged - (t_j - e)) < 1e-9)
+
+
+@pytest.mark.parametrize("h, lag", [(0.01, 1.0), (0.02, 1.0), (0.025, 1.0), (0.01, 0.5),
+                                    (0.02, 0.3)])
+def test_cadlag_view_reads_the_node_at_the_lag(h, lag):
+    tau = 1.0
+    k_hist = steps_per_window(tau, h, "tau")
+    back = steps_per_window(lag, h, "lag")
+    times = np.concatenate([np.linspace(-tau, 0.0, k_hist + 1),
+                            h * np.arange(1, steps_per_window(5.0, h, "horizon") + 1)])
+    # distinct states, largest at the oldest node, so a read names its node
+    states = (times.size - np.arange(times.size, dtype=float))[:, None]
+    view = _CadlagSegView(states, times, tau)
+    for head in range(k_hist, times.size):
+        view.head = head
+        assert view.eval(-lag)[0] == states[head - back, 0]
+        assert view.sup_norm() == states[head - k_hist, 0]
+
+
+def _jump_path():
+    model = jump_linear(3.0, 1.0, 0.3, 5.0, UniformSigns(), PointConstant(1.0), 1.0)
+    traj = simulate(model, ONES, SimConfig(step=0.01, horizon=3.0, master_seed=4))
+    assert traj.jump_times.size > 5
+    return traj
+
+
+def _node_of_each_point(traj, t, seg):
+    """The node each segment point sits on, or -1 where it sits on none."""
+    pts = t + seg.grid
+    j = np.abs(traj.times[None, :] - pts[:, None]).argmin(axis=1)
+    return np.where(np.abs(traj.times[j] - pts) < 1e-9, j, -1)
+
+
+def test_extract_segment_reads_each_node_state():
+    traj = _jump_path()
+    for t in traj.times[traj.times >= 0.0]:
+        seg = extract_segment(traj, float(t))
+        node = _node_of_each_point(traj, t, seg)
+        on = node >= 0
+        assert on.sum() >= 101
+        assert np.array_equal(seg.values[on], traj.states[node[on]])
+
+
+def test_extract_segment_left_reads_each_node_and_the_left_limit():
+    traj = _jump_path()
+    for t in traj.times[traj.times > 0.0]:
+        seg = extract_segment_left(traj, float(t))
+        node = _node_of_each_point(traj, t, seg)
+        # the newest point is the left limit at t: the state of the node before
+        assert seg.values[-1, 0] == traj.states[node[-1] - 1, 0]
+        on = node[:-1] >= 0
+        assert np.array_equal(seg.values[:-1][on], traj.states[node[:-1][on]])
 
 
 def test_extract_segment_out_of_range():
