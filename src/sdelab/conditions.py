@@ -20,6 +20,10 @@ Fitted constants therefore certify the sampled set with a stated margin.
 They are only as exact as the sample makes them: ``alpha2`` is the smallest
 value on the sampled ridge of gap maximizers, which the sample need not pin
 down, so on a linear model it can fall below the algebraic constant.
+
+Each display's per-pair terms ``(L, A, R)`` live in one function, shared by
+the check that fits its constants and by ``replay_witness``, so a witness
+replays to exactly the sides the check stored.
 """
 
 from __future__ import annotations
@@ -159,10 +163,7 @@ class SegmentPairSampler:
         self._grid = grid
 
     def radius_for_trial(self, i: int, n: int) -> float:
-        if not self.unbounded:
-            return self.radius
-        block = min(i * self.n_radius_blocks // max(n, 1), self.n_radius_blocks - 1)
-        return self.radius * 2.0 ** block
+        return self.radius * 2.0 ** self.block_of_trial(i, n)
 
     def block_of_trial(self, i: int, n: int) -> int:
         if not self.unbounded:
@@ -223,10 +224,9 @@ class SegmentPairSampler:
 def _fit_two_constants(L, A, R):
     """Fit ``L_i <= -a1*A_i + a2*R_i`` with maximal gap a1-a2, minimal a2.
 
-    Returns (feasible_hard, a1, a2, slack, binding_index).  ``feasible_hard``
-    is False only when some sample with A = R = 0 has L > 0, which no real
-    coefficient pair can satisfy at any constants; that sample's index is
-    then returned as binding.
+    Returns (a1, a2, hard_index).  ``hard_index`` is None unless some sample
+    with A = R = 0 has L > 0, which no real coefficient pair can satisfy at
+    any constants; it is then that sample's index.
     """
     L = np.asarray(L, dtype=float)
     A = np.asarray(A, dtype=float)
@@ -237,7 +237,7 @@ def _fit_two_constants(L, A, R):
 
     hard = (A <= tol) & (R <= tol) & (L > tol)
     if hard.any():
-        return False, 0.0, 0.0, 0.0, int(np.argmax(np.where(hard, L, -np.inf)))
+        return 0.0, 0.0, int(np.argmax(np.where(hard, L, -np.inf)))
 
     a2_lo = 0.0
     zero_a = (A <= tol) & (R > tol)
@@ -247,12 +247,9 @@ def _fit_two_constants(L, A, R):
     pos = A > tol
     if not pos.any():
         # alpha1 unconstrained; any gap achievable
-        a2 = a2_lo
-        a1 = max(1.0, 2.0 * a2)
-        return True, a1, a2, math.inf, -1
+        return max(1.0, 2.0 * a2_lo), a2_lo, None
 
     La, Aa, Ra = L[pos], A[pos], R[pos]
-    pos_idx = np.flatnonzero(pos)
 
     def g(a2):
         return float(((a2 * Ra - La) / Aa).min())
@@ -295,10 +292,7 @@ def _fit_two_constants(L, A, R):
     a1 = g(a2)
 
     back = _FIT_MARGIN * max(1.0, abs(a1), abs(a2))
-    a1, a2 = a1 - back, a2 + back
-    slack_arr = -a1 * A + a2 * R - L
-    binding = int(np.argmin(slack_arr))
-    return True, a1, a2, float(slack_arr.min()), binding
+    return a1 - back, a2 + back, None
 
 
 def _fit_single_constant(L, R):
@@ -342,6 +336,12 @@ def _pair_core(model, t, phi, psi):
     return d0, db, sup
 
 
+def _diffusion_sq(model, t, phi, psi) -> float:
+    """``||sigma(t, phi) - sigma(t, psi)||_F^2``."""
+    return _frob_sq(np.asarray(model.diffusion(t, phi))
+                    - np.asarray(model.diffusion(t, psi)))
+
+
 def _mark_nodes(model, mark_samples: int, seed: int):
     """Mark atoms and weights for the jump integrals: the law's exact finite
     support when it has one, otherwise ``mark_samples`` deterministic draws
@@ -371,22 +371,84 @@ def _jump_delta_sq(model, t, phi, psi, zs, ws, exact):
 
 
 # ---------------------------------------------------------------------------
+# display terms: each display's (L, A, R) on one pair, for check and replay
+# ---------------------------------------------------------------------------
+
+def _dissipation_terms(model, t, phi, psi, p_exp):
+    """(L, A, R) of the ``check_drift_dissipation`` display."""
+    d0, db, sup = _pair_core(model, t, phi, psi)
+    nd0 = float(np.sqrt((d0 * d0).sum()))
+    w = nd0 ** p_exp
+    return (w * (2.0 * float(d0 @ db) + _diffusion_sq(model, t, phi, psi)),
+            nd0 ** (2.0 + p_exp), w * sup * sup)
+
+
+def _domination_terms(model, t, phi, psi, p_exp):
+    """(L, 0, R) of the ``check_diffusion_domination`` display; reads no drift."""
+    sq = _diffusion_sq(model, t, phi, psi)
+    sup = uniform_distance(phi, psi)
+    return sq ** ((2.0 + p_exp) / 2.0), 0.0, sup ** (2.0 + p_exp)
+
+
+def _neutral_terms(model, t, phi, psi):
+    """The neutral bundle's three displays: contraction ``(|dg|/sup, 0, sup)``,
+    dissipation through the drift-corrected difference ``d0 - dg``, and
+    diffusion domination."""
+    d0, db, sup = _pair_core(model, t, phi, psi)
+    dg = np.asarray(model.neutral_map(phi)) - np.asarray(model.neutral_map(psi))
+    sq = _diffusion_sq(model, t, phi, psi)
+    return ((float(np.sqrt((dg * dg).sum())) / sup, 0.0, sup),
+            (2.0 * float((d0 - dg) @ db) + sq, float((d0 * d0).sum()), sup * sup),
+            (sq, 0.0, sup * sup))
+
+
+def _jump_terms(model, t, phi, psi, marks):
+    """The jump bundle's dissipation and growth displays, whose mark term
+    carries its 3-SE inflation, plus that inflation."""
+    d0, db, sup = _pair_core(model, t, phi, psi)
+    dj_sq, dj_err = _jump_delta_sq(model, t, phi, psi, *marks)
+    jump = model.intensity * (dj_sq + dj_err)
+    return ((2.0 * float(d0 @ db) + jump, float((d0 * d0).sum()), sup * sup),
+            (float((db * db).sum()) + jump, 0.0, sup * sup)), dj_err
+
+
+def _sides(terms, c):
+    """Both sides of a display at the verdict constants ``c``.
+
+    The constants name the form: ``declared`` the contraction (whose ``L``
+    is the pair's ratio ``|dg|/sup``), ``alpha3`` a ratio display (``inf``
+    marks a pair fitted as identical, whose ``R`` counts as 0), otherwise
+    the two-constant dissipation display.
+    """
+    L, A, R = terms
+    if "declared" in c:
+        return L * R, c["declared"] * R
+    if "alpha3" in c:
+        return L, c["alpha3"] * R if c["alpha3"] < math.inf else 0.0
+    return L, -c["alpha1"] * A + c["alpha2"] * R
+
+
+def _witness(rows, terms, k, c) -> Witness:
+    _, t, phi, psi = rows[k]
+    lhs, rhs = _sides(terms[k], c)
+    return Witness(t, phi, psi, float(lhs), float(rhs))
+
+
+# ---------------------------------------------------------------------------
 # checks
 # ---------------------------------------------------------------------------
 
-def _gather(model, sampler, trials):
-    rows = []
-    for i, t, phi, psi in sampler.draw(trials):
-        if uniform_distance(phi, psi) <= 0.0:
-            continue
-        rows.append((i, t, phi, psi))
+def _gather(sampler, trials):
+    rows = [(i, t, phi, psi) for i, t, phi, psi in sampler.draw(trials)
+            if uniform_distance(phi, psi) > 0.0]
     if not rows:
         raise DomainError("sampler produced no usable (distinct) pairs")
     return rows
 
 
-def _two_constant_verdict(check_id, rows, L, A, R, trials, extra_constants,
+def _two_constant_verdict(check_id, rows, terms, trials, extra_constants,
                           notes=()):
+    L, A, R = terms.T
     all_small = (max(np.abs(L).max(initial=0.0), np.max(A, initial=0.0),
                      np.max(R, initial=0.0)) < 1e-14)
     if all_small:
@@ -395,13 +457,11 @@ def _two_constant_verdict(check_id, rows, L, A, R, trials, extra_constants,
                        margin=1.0, trials=trials,
                        notes=notes + ("all sampled differences vanish; "
                                       "constants reported by convention",))
-    ok, a1, a2, slack, binding = _fit_two_constants(L, A, R)
-    if not ok:
-        i, t, phi, psi = rows[binding]
-        wit = Witness(t, phi, psi, float(L[binding]),
-                      float(-a1 * A[binding] + a2 * R[binding]))
-        return Verdict(check_id, VerdictStatus.FAIL_WITH_WITNESS,
-                       {"alpha1": a1, "alpha2": a2, **extra_constants},
+    a1, a2, hard = _fit_two_constants(L, A, R)
+    if hard is not None:
+        consts = {"alpha1": a1, "alpha2": a2, **extra_constants}
+        wit = _witness(rows, terms, hard, consts)
+        return Verdict(check_id, VerdictStatus.FAIL_WITH_WITNESS, consts,
                        margin=float(wit.lhs - wit.rhs), trials=trials,
                        witness=wit,
                        notes=notes + ("a sample violates the display at any "
@@ -410,19 +470,18 @@ def _two_constant_verdict(check_id, rows, L, A, R, trials, extra_constants,
     if 0.0 <= a2 <= 1e-4 * max(1.0, a1) and a1 > 0.0:
         # the delayed term never binds; any small alpha2 works, pick alpha1/2
         a2 = 0.5 * a1
-        slack = float(np.min(-a1 * np.asarray(A) + a2 * np.asarray(R)
-                             - np.asarray(L)))
         note_extra = ("delayed term never binds; alpha2 set to alpha1/2",)
     consts = {"alpha1": float(a1), "alpha2": float(a2), **extra_constants}
-    i, t, phi, psi = rows[binding if binding >= 0 else 0]
-    wit = Witness(t, phi, psi, float(L[binding]) if binding >= 0 else 0.0,
-                  float(-a1 * A[binding] + a2 * R[binding]) if binding >= 0 else 0.0)
+    lhs, rhs = _sides(terms.T, consts)
+    slack = rhs - lhs
+    binding = int(np.argmin(slack))
     if a1 > 0.0 and a2 > 0.0 and a1 > a2:
         return Verdict(check_id, VerdictStatus.PASS_WITH_CONSTANTS, consts,
-                       margin=float(slack), trials=trials, witness=None,
+                       margin=float(slack[binding]), trials=trials, witness=None,
                        notes=notes + note_extra)
     return Verdict(check_id, VerdictStatus.INCONCLUSIVE, consts,
-                   margin=float(slack), trials=trials, witness=wit,
+                   margin=float(slack[binding]), trials=trials,
+                   witness=_witness(rows, terms, binding, consts),
                    notes=notes + ("no sampled-feasible constants with "
                                   "alpha1 > alpha2 > 0",))
 
@@ -442,36 +501,26 @@ def check_drift_dissipation(model, sampler: SegmentPairSampler | None = None,
     if p_exp < 0:
         raise DomainError("moment weight must be nonnegative")
     sampler = sampler or SegmentPairSampler.for_model(model)
-    rows = _gather(model, sampler, trials)
-    L, A, R = [], [], []
-    for i, t, phi, psi in rows:
-        d0, db, sup = _pair_core(model, t, phi, psi)
-        dsig = np.asarray(model.diffusion(t, phi)) - np.asarray(model.diffusion(t, psi))
-        nd0 = float(np.sqrt((d0 * d0).sum()))
-        w = nd0 ** p_exp
-        L.append(w * (2.0 * float(d0 @ db) + _frob_sq(dsig)))
-        A.append(nd0 ** (2.0 + p_exp))
-        R.append(w * sup * sup)
-    return _two_constant_verdict("drift-dissipation", rows,
-                                 np.array(L), np.array(A), np.array(R),
-                                 trials, {"p_exp": p_exp})
+    rows = _gather(sampler, trials)
+    terms = np.array([_dissipation_terms(model, t, phi, psi, p_exp)
+                      for _, t, phi, psi in rows])
+    return _two_constant_verdict("drift-dissipation", rows, terms, trials,
+                                 {"p_exp": p_exp})
 
 
-def _ratio_verdict(check_id, rows, L, R, blocks, sampler, trials,
-                   extra_constants, notes=()):
-    L = np.asarray(L, dtype=float)
-    R = np.asarray(R, dtype=float)
+def _ratio_verdict(check_id, rows, terms, sampler, trials, extra_constants,
+                   notes=()):
+    L, R = terms[:, 0], terms[:, 2]
     ok, a3, worst = _fit_single_constant(L, R)
     if not ok:
-        i, t, phi, psi = rows[worst]
-        wit = Witness(t, phi, psi, float(L[worst]), 0.0)
-        return Verdict(check_id, VerdictStatus.FAIL_WITH_WITNESS,
-                       {"alpha3": math.inf, **extra_constants},
-                       margin=float(L[worst]), trials=trials, witness=wit,
+        consts = {"alpha3": math.inf, **extra_constants}
+        wit = _witness(rows, terms, worst, consts)
+        return Verdict(check_id, VerdictStatus.FAIL_WITH_WITNESS, consts,
+                       margin=float(wit.lhs - wit.rhs), trials=trials, witness=wit,
                        notes=notes + ("coefficient differs on a pair with "
                                       "identical segments",))
     if sampler.unbounded:
-        blocks = np.asarray(blocks)
+        blocks = np.array([sampler.block_of_trial(i, trials) for i, *_ in rows])
         block_max = np.zeros(sampler.n_radius_blocks)
         block_arg = np.full(sampler.n_radius_blocks, -1, dtype=int)
         with np.errstate(invalid="ignore", divide="ignore"):
@@ -485,12 +534,10 @@ def _ratio_verdict(check_id, rows, L, R, blocks, sampler, trials,
         grew = (bottom > 0 and top > _GROWTH_RATIO * bottom) or \
                (bottom <= 1e-12 < top)
         if grew:
-            wi = block_arg[-1]
-            i, t, phi, psi = rows[wi]
-            a3_bot = bottom * (1.0 + _FIT_MARGIN)
-            wit = Witness(t, phi, psi, float(L[wi]), float(a3_bot * R[wi]))
-            return Verdict(check_id, VerdictStatus.FAIL_WITH_WITNESS,
-                           {"alpha3": float(a3_bot), **extra_constants},
+            consts = {"alpha3": float(bottom * (1.0 + _FIT_MARGIN)),
+                      **extra_constants}
+            wit = _witness(rows, terms, block_arg[-1], consts)
+            return Verdict(check_id, VerdictStatus.FAIL_WITH_WITNESS, consts,
                            margin=float(wit.lhs - wit.rhs), trials=trials,
                            witness=wit,
                            notes=notes + (
@@ -506,11 +553,10 @@ def _ratio_verdict(check_id, rows, L, R, blocks, sampler, trials,
                        trials=trials,
                        notes=notes + ("coefficient differences vanish on all "
                                       "samples; constant by convention",))
-    a3_rep = a3 * (1.0 + _FIT_MARGIN)
-    margin = float(np.min(a3_rep * R - L))
-    return Verdict(check_id, VerdictStatus.PASS_WITH_CONSTANTS,
-                   {"alpha3": float(a3_rep), **extra_constants},
-                   margin=margin, trials=trials, notes=notes)
+    consts = {"alpha3": float(a3 * (1.0 + _FIT_MARGIN)), **extra_constants}
+    lhs, rhs = _sides(terms.T, consts)
+    return Verdict(check_id, VerdictStatus.PASS_WITH_CONSTANTS, consts,
+                   margin=float(np.min(rhs - lhs)), trials=trials, notes=notes)
 
 
 def check_diffusion_domination(model, sampler: SegmentPairSampler | None = None,
@@ -523,17 +569,11 @@ def check_diffusion_domination(model, sampler: SegmentPairSampler | None = None,
     if p_exp < 0:
         raise DomainError("moment weight must be nonnegative")
     sampler = sampler or SegmentPairSampler.for_model(model)
-    rows = _gather(model, sampler, trials)
-    used = trials
-    L, R, blocks = [], [], []
-    for i, t, phi, psi in rows:
-        dsig = np.asarray(model.diffusion(t, phi)) - np.asarray(model.diffusion(t, psi))
-        sup = uniform_distance(phi, psi)
-        L.append(_frob_sq(dsig) ** ((2.0 + p_exp) / 2.0))
-        R.append(sup ** (2.0 + p_exp))
-        blocks.append(sampler.block_of_trial(i, used))
-    return _ratio_verdict("diffusion-domination", rows, L, R, blocks, sampler,
-                          trials, {"p_exp": p_exp})
+    rows = _gather(sampler, trials)
+    terms = np.array([_domination_terms(model, t, phi, psi, p_exp)
+                      for _, t, phi, psi in rows])
+    return _ratio_verdict("diffusion-domination", rows, terms, sampler, trials,
+                          {"p_exp": p_exp})
 
 
 def check_neutral_conditions(model, sampler: SegmentPairSampler | None = None,
@@ -549,61 +589,35 @@ def check_neutral_conditions(model, sampler: SegmentPairSampler | None = None,
     if model.model_class is not ModelClass.NEUTRAL:
         raise ModelContractError("neutral condition bundle needs a neutral model")
     sampler = sampler or SegmentPairSampler.for_model(model)
-    rows = _gather(model, sampler, trials)
+    rows = _gather(sampler, trials)
+    terms = np.array([_neutral_terms(model, t, phi, psi) for _, t, phi, psi in rows])
 
-    kap_ratios = np.empty(len(rows))
-    L2, A2c, R2 = [], [], []
-    Ls, Rs = [], []
-    for j, (i, t, phi, psi) in enumerate(rows):
-        d0, db, sup = _pair_core(model, t, phi, psi)
-        dg = np.asarray(model.neutral_map(phi)) - np.asarray(model.neutral_map(psi))
-        dsig = np.asarray(model.diffusion(t, phi)) - np.asarray(model.diffusion(t, psi))
-        kap_ratios[j] = float(np.sqrt((dg * dg).sum())) / sup
-        dcorr = d0 - dg
-        L2.append(2.0 * float(dcorr @ db) + _frob_sq(dsig))
-        A2c.append(float((d0 * d0).sum()))
-        R2.append(sup * sup)
-        Ls.append(_frob_sq(dsig))
-        Rs.append(sup * sup)
-
-    kappa_hat = float(kap_ratios.max())
-    worst_k = int(np.argmax(kap_ratios))
+    worst = int(np.argmax(terms[:, 0, 0]))
+    kappa_hat = float(terms[worst, 0, 0])
     if kappa_hat < 1e-14:
         raise ModelContractError(
             "neutral map is constant on every sampled pair (fitted contraction "
             "0); declare the model as retarded instead")
 
+    # ModelSpec holds the declared constant below 1/2, so a fitted kappa that
+    # is no contraction at all exceeds it too
     declared = model.neutral_contraction
-    kc_notes = ()
-    i, t, phi, psi = rows[worst_k]
-    if declared is not None and kappa_hat > declared + 1e-9:
+    if kappa_hat > declared + 1e-9:
+        consts = {"kappa": kappa_hat, "declared": declared}
         kap_verdict = Verdict(
-            "neutral-contraction", VerdictStatus.FAIL_WITH_WITNESS,
-            {"kappa": kappa_hat, "declared": declared},
+            "neutral-contraction", VerdictStatus.FAIL_WITH_WITNESS, consts,
             margin=float(kappa_hat - declared), trials=trials,
-            witness=Witness(t, phi, psi, kappa_hat * uniform_distance(phi, psi),
-                            declared * uniform_distance(phi, psi)),
+            witness=_witness(rows, terms[:, 0], worst, consts),
             notes=("sampled contraction exceeds the declared constant",))
-    elif kappa_hat >= 1.0 - _FIT_MARGIN:
-        kap_verdict = Verdict(
-            "neutral-contraction", VerdictStatus.FAIL_WITH_WITNESS,
-            {"kappa": kappa_hat},
-            margin=float(kappa_hat - 1.0), trials=trials,
-            witness=Witness(t, phi, psi, kappa_hat * uniform_distance(phi, psi),
-                            uniform_distance(phi, psi)),
-            notes=("neutral map is not a contraction",))
     else:
         kap_verdict = Verdict(
             "neutral-contraction", VerdictStatus.PASS_WITH_CONSTANTS,
-            {"kappa": kappa_hat}, margin=float(1.0 - kappa_hat), trials=trials,
-            notes=kc_notes)
+            {"kappa": kappa_hat}, margin=float(1.0 - kappa_hat), trials=trials)
 
     drift_verdict = _two_constant_verdict(
-        "neutral-drift-dissipation", rows, np.array(L2), np.array(A2c),
-        np.array(R2), trials, {})
-    blocks = [sampler.block_of_trial(i, trials) for i, *_ in rows]
-    diff_verdict = _ratio_verdict("neutral-diffusion-domination", rows, Ls, Rs,
-                                  blocks, sampler, trials, {})
+        "neutral-drift-dissipation", rows, terms[:, 1], trials, {})
+    diff_verdict = _ratio_verdict("neutral-diffusion-domination", rows,
+                                  terms[:, 2], sampler, trials, {})
 
     a1 = drift_verdict.constants.get("alpha1", 0.0)
     a2 = drift_verdict.constants.get("alpha2", 0.0)
@@ -641,35 +655,24 @@ def check_jump_conditions(model, sampler: SegmentPairSampler | None = None,
     if model.model_class is not ModelClass.JUMP:
         raise ModelContractError("jump condition bundle needs a jump model")
     sampler = sampler or SegmentPairSampler.for_model(model)
-    rows = _gather(model, sampler, trials)
-    zs, ws, exact = _mark_nodes(model, mark_samples, sampler.seed)
-    lam = model.intensity
+    rows = _gather(sampler, trials)
+    marks = _mark_nodes(model, mark_samples, sampler.seed)
+    pair_terms, errs = zip(*(_jump_terms(model, t, phi, psi, marks)
+                             for _, t, phi, psi in rows))
+    terms = np.array(pair_terms)
 
-    L1, A1, R1 = [], [], []
-    Lg, Rg = [], []
-    inflated = False
-    for i, t, phi, psi in rows:
-        d0, db, sup = _pair_core(model, t, phi, psi)
-        dj_sq, dj_err = _jump_delta_sq(model, t, phi, psi, zs, ws, exact)
-        if dj_err > 0:
-            inflated = True
-        L1.append(2.0 * float(d0 @ db) + lam * (dj_sq + dj_err))
-        A1.append(float((d0 * d0).sum()))
-        R1.append(sup * sup)
-        Lg.append(float((db * db).sum()) + lam * (dj_sq + dj_err))
-        Rg.append(sup * sup)
-
-    notes = (("mark integrals by deterministic Monte Carlo over "
-              f"{int(mark_samples)} draws; margins inflated by 3 mark SEs",)
-             if inflated else
-             ("mark integrals exact (finitely supported law)",))
-    extra = {"intensity": lam, "mark_samples": int(mark_samples),
+    exact = marks[2]
+    if exact:
+        notes = ("mark integrals exact (finitely supported law)",)
+    else:
+        notes = (f"mark integrals by deterministic Monte Carlo over "
+                 f"{int(mark_samples)} draws"
+                 + ("; margins inflated by 3 mark SEs" if max(errs) > 0 else ""),)
+    extra = {"intensity": model.intensity, "mark_samples": int(mark_samples),
              "mark_seed": int(sampler.seed), "marks_exact": exact}
-    diss = _two_constant_verdict("jump-drift-dissipation", rows,
-                                 np.array(L1), np.array(A1), np.array(R1),
+    diss = _two_constant_verdict("jump-drift-dissipation", rows, terms[:, 0],
                                  trials, extra, notes=notes)
-    blocks = [sampler.block_of_trial(i, trials) for i, *_ in rows]
-    growth = _ratio_verdict("jump-growth-domination", rows, Lg, Rg, blocks,
+    growth = _ratio_verdict("jump-growth-domination", rows, terms[:, 1],
                             sampler, trials, extra, notes=notes)
     return diss, growth
 
@@ -678,69 +681,43 @@ def check_jump_conditions(model, sampler: SegmentPairSampler | None = None,
 # witness replay
 # ---------------------------------------------------------------------------
 
+def _jump_displays(model, wit, c):
+    marks = _mark_nodes(model, c["mark_samples"], c["mark_seed"])
+    return _jump_terms(model, wit.t, wit.phi, wit.psi, marks)[0]
+
+
+# check id -> terms of its display on a witness, given the verdict constants
+_DISPLAYS = {
+    "drift-dissipation":
+        lambda m, w, c: _dissipation_terms(m, w.t, w.phi, w.psi, c["p_exp"]),
+    "diffusion-domination":
+        lambda m, w, c: _domination_terms(m, w.t, w.phi, w.psi, c["p_exp"]),
+    "neutral-contraction":
+        lambda m, w, c: _neutral_terms(m, w.t, w.phi, w.psi)[0],
+    "neutral-drift-dissipation":
+        lambda m, w, c: _neutral_terms(m, w.t, w.phi, w.psi)[1],
+    "neutral-diffusion-domination":
+        lambda m, w, c: _neutral_terms(m, w.t, w.phi, w.psi)[2],
+    "jump-drift-dissipation": lambda m, w, c: _jump_displays(m, w, c)[0],
+    "jump-growth-domination": lambda m, w, c: _jump_displays(m, w, c)[1],
+}
+
+
 def replay_witness(model, verdict: Verdict) -> dict:
     """Recompute both sides of a verdict's display on its stored witness.
 
-    Returns ``{"lhs", "rhs", "violation", "violated"}``; for a
-    FailWithWitness verdict the violation reproduces at no less than the
-    reported margin (up to floating-point noise).
+    Returns ``{"lhs", "rhs", "violation", "violated"}``.  The sides are
+    evaluated by the same terms and formula as the check, so they equal the
+    stored ``witness.lhs`` and ``witness.rhs`` exactly, and a
+    FailWithWitness verdict replays as violated.
     """
     wit = verdict.witness
     if wit is None:
         raise DomainError(f"verdict {verdict.check!r} carries no witness")
-    t, phi, psi = wit.t, wit.phi, wit.psi
-    c = verdict.constants
-    check = verdict.check
-
-    if check in ("drift-dissipation", "neutral-drift-dissipation",
-                 "jump-drift-dissipation"):
-        d0, db, sup = _pair_core(model, t, phi, psi)
-        if check == "drift-dissipation":
-            dsig = np.asarray(model.diffusion(t, phi)) - \
-                np.asarray(model.diffusion(t, psi))
-            p = c.get("p_exp", 0.0)
-            nd0 = float(np.sqrt((d0 * d0).sum()))
-            w = nd0 ** p
-            lhs = w * (2.0 * float(d0 @ db) + _frob_sq(dsig))
-            rhs = -c["alpha1"] * nd0 ** (2.0 + p) + c["alpha2"] * w * sup * sup
-        elif check == "neutral-drift-dissipation":
-            dg = np.asarray(model.neutral_map(phi)) - \
-                np.asarray(model.neutral_map(psi))
-            dsig = np.asarray(model.diffusion(t, phi)) - \
-                np.asarray(model.diffusion(t, psi))
-            lhs = 2.0 * float((d0 - dg) @ db) + _frob_sq(dsig)
-            rhs = -c["alpha1"] * float((d0 * d0).sum()) + c["alpha2"] * sup * sup
-        else:
-            zs, ws, exact = _mark_nodes(model, c.get("mark_samples", 256),
-                                        c.get("mark_seed", 0))
-            dj_sq, dj_err = _jump_delta_sq(model, t, phi, psi, zs, ws, exact)
-            lhs = 2.0 * float(d0 @ db) + model.intensity * (dj_sq + dj_err)
-            rhs = -c["alpha1"] * float((d0 * d0).sum()) + c["alpha2"] * sup * sup
-    elif check in ("diffusion-domination", "neutral-diffusion-domination",
-                   "jump-growth-domination"):
-        sup = uniform_distance(phi, psi)
-        if check == "jump-growth-domination":
-            d0, db, sup = _pair_core(model, t, phi, psi)
-            zs, ws, exact = _mark_nodes(model, c.get("mark_samples", 256),
-                                        c.get("mark_seed", 0))
-            dj_sq, dj_err = _jump_delta_sq(model, t, phi, psi, zs, ws, exact)
-            lhs = float((db * db).sum()) + model.intensity * (dj_sq + dj_err)
-            rhs = c["alpha3"] * sup * sup
-        else:
-            p = c.get("p_exp", 0.0)
-            dsig = np.asarray(model.diffusion(t, phi)) - \
-                np.asarray(model.diffusion(t, psi))
-            lhs = _frob_sq(dsig) ** ((2.0 + p) / 2.0)
-            rhs = c["alpha3"] * sup ** (2.0 + p)
-    elif check == "neutral-contraction":
-        sup = uniform_distance(phi, psi)
-        dg = np.asarray(model.neutral_map(phi)) - np.asarray(model.neutral_map(psi))
-        lhs = float(np.sqrt((dg * dg).sum()))
-        bound = c.get("declared")
-        rhs = (bound if bound is not None else 1.0) * sup
-    else:
+    display = _DISPLAYS.get(verdict.check)
+    if display is None:
         raise DomainError(f"unknown check id {verdict.check!r}")
-
+    lhs, rhs = _sides(display(model, wit, verdict.constants), verdict.constants)
     violation = lhs - rhs
     return {"lhs": float(lhs), "rhs": float(rhs),
             "violation": float(violation),

@@ -20,6 +20,7 @@ from sdelab import (
     ModelContractError,
     ModelSpec,
     PointConstant,
+    Segment,
     SegmentKind,
     SegmentPairSampler,
     UniformSigns,
@@ -63,6 +64,38 @@ def quadratic_sigma_model():
         drift=lambda t, seg: -seg.eval(0.0),
         diffusion=lambda t, seg: (seg.eval(0.0) ** 2).reshape(1, 1),
     )
+
+
+def _outrun_neutral_model():
+    """A neutral map of contraction 0.6 declared as 0.3."""
+    return ModelSpec(
+        model_class=ModelClass.NEUTRAL, dim=1, brownian_dim=1, tau=1.0,
+        drift=lambda t, seg: -3.0 * seg.eval(0.0),
+        diffusion=lambda t, seg: np.array([[0.5]]),
+        neutral_map=lambda seg: 0.6 * seg.eval(-1.0),
+        neutral_contraction=0.3)
+
+
+def _sign_model():
+    """Coefficients that jump across 0: no constant holds on a straddling pair."""
+    return ModelSpec(
+        model_class=ModelClass.RETARDED, dim=1, brownian_dim=1, tau=1.0,
+        drift=lambda t, seg: 1e6 * np.sign(seg.eval(0.0)),
+        diffusion=lambda t, seg: np.sign(seg.eval(0.0)).reshape(1, 1))
+
+
+def _fixed_pair_sampler(phi_values, psi_values):
+    """A sampler whose every trial is the same pair of 3-node segments on
+    [-1, 0] at t = 0."""
+    class FixedPair(SegmentPairSampler):
+        def draw(self, n):
+            grid = np.linspace(-self.tau, 0.0, 3)
+            for i in range(int(n)):
+                yield (i, 0.0,
+                       Segment(self.kind, grid, np.reshape(phi_values, (3, 1))),
+                       Segment(self.kind, grid, np.reshape(psi_values, (3, 1))))
+
+    return FixedPair(tau=1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -318,12 +351,7 @@ class TestNeutralConditions:
         assert any("kappa < 1/2" in note for note in gate.notes)
 
     def test_declared_contraction_exceeded_fails_with_witness(self):
-        model = ModelSpec(
-            model_class=ModelClass.NEUTRAL, dim=1, brownian_dim=1, tau=1.0,
-            drift=lambda t, seg: -3.0 * seg.eval(0.0),
-            diffusion=lambda t, seg: np.array([[0.5]]),
-            neutral_map=lambda seg: 0.6 * seg.eval(-1.0),
-            neutral_contraction=0.3)
+        model = _outrun_neutral_model()
         contraction, *_ = check_neutral_conditions(model)
         assert contraction.status is VerdictStatus.FAIL_WITH_WITNESS
         assert contraction.constants["kappa"] == pytest.approx(0.6, abs=1e-9)
@@ -405,6 +433,16 @@ class TestJumpConditions:
             assert any("inflated" in note for note in verdict.notes)
         assert dissipation.status is VerdictStatus.PASS_WITH_CONSTANTS
 
+    def test_monte_carlo_marks_on_additive_coefficient_are_not_called_exact(self):
+        # an additive jump coefficient cancels in differences, so no margin
+        # is inflated; the marks are still Monte Carlo draws, not exact
+        model = jump_linear(3.0, 1.0, 0.3, 2.0, GaussianMarks(0.0, 1.0),
+                            PointConstant(1.0), 1.0)
+        for verdict in check_jump_conditions(model, trials=100):
+            assert verdict.constants["marks_exact"] is False
+            assert verdict.notes[0] == ("mark integrals by deterministic "
+                                        "Monte Carlo over 256 draws")
+
     def test_class_guard(self):
         with pytest.raises(ModelContractError):
             check_jump_conditions(stable_linear())
@@ -432,14 +470,28 @@ class TestVerdictContract:
         with pytest.raises(DomainError):
             replay_witness(stable_linear(), verdict)
 
-    def test_replay_rejects_unknown_check_id(self):
+    # a retarded model has no neutral map or jump coefficient, so an id that
+    # merely starts like a bundle's must not reach those coefficients
+    @pytest.mark.parametrize("check_id", [
+        "made-up-check", "neutral-made-up", "jump-made-up", "neutral-rate-gate",
+        "Drift-Dissipation"])
+    def test_replay_rejects_unknown_check_id(self, check_id):
         sampler = SegmentPairSampler(tau=1.0, unbounded=True)
         verdict = check_diffusion_domination(quadratic_sigma_model(),
                                              sampler=sampler)
-        bogus = Verdict("made-up-check", verdict.status, verdict.constants,
+        bogus = Verdict(check_id, verdict.status, verdict.constants,
                         verdict.margin, verdict.trials, witness=verdict.witness)
-        with pytest.raises(DomainError):
+        with pytest.raises(DomainError, match="unknown check id"):
             replay_witness(quadratic_sigma_model(), bogus)
+
+    def test_margin_is_least_slack_when_no_pair_moves_the_newest_point(self):
+        # with d0 = 0 on every pair alpha1 is unconstrained; the margin is
+        # still the least slack at the reported constants, not infinity
+        sampler = _fixed_pair_sampler([1.0, 0.0, 0.0], [0.0, 0.0, 0.0])
+        verdict = check_drift_dissipation(lagged_sigma_model(0.3), sampler=sampler,
+                                          trials=5)
+        assert verdict.constants["alpha2"] == pytest.approx(0.09)
+        assert math.isfinite(verdict.margin) and verdict.margin >= 0.0
 
     def test_summary_line_and_json_round_trip(self):
         verdict = check_drift_dissipation(stable_linear())
@@ -462,3 +514,65 @@ class TestVerdictContract:
         assert payload["witness"]["lhs"] > payload["witness"]["rhs"]
         assert payload["margin"] == pytest.approx(
             payload["witness"]["lhs"] - payload["witness"]["rhs"])
+
+
+# ---------------------------------------------------------------------------
+# witness replay is exact
+# ---------------------------------------------------------------------------
+
+def _checker_verdicts(model, sampler, p_exp):
+    if model.model_class is ModelClass.RETARDED:
+        return (check_drift_dissipation(model, sampler, p_exp=p_exp, trials=200),
+                check_diffusion_domination(model, sampler, p_exp=p_exp, trials=200))
+    if model.model_class is ModelClass.NEUTRAL:
+        return check_neutral_conditions(model, sampler, trials=200)
+    return check_jump_conditions(model, sampler, trials=60, mark_samples=64)
+
+
+def _assert_replays_exactly(model, verdicts):
+    for verdict in verdicts:
+        if verdict.witness is None:
+            continue
+        replay = replay_witness(model, verdict)
+        assert replay["lhs"] == verdict.witness.lhs, verdict.check
+        assert replay["rhs"] == verdict.witness.rhs, verdict.check
+        if verdict.status is VerdictStatus.FAIL_WITH_WITNESS:
+            assert replay["violated"], verdict.check
+
+
+class TestReplayIsExact:
+    """Replay evaluates the check's own terms and sides, so it reproduces the
+    stored witness bit for bit, and every FailWithWitness replays violated."""
+
+    @pytest.mark.parametrize("make, p_exp", [
+        (stable_linear, 0.0),
+        (stable_linear, 0.5),
+        (lambda: linear_retarded(0.4, 1.0, 0.5, PointConstant(1.0), 1.0), 0.0),
+        (lambda: linear_retarded(0.4, 1.0, 0.5, PointConstant(1.0), 1.0), 0.5),
+        (quadratic_sigma_model, 0.0),
+        (quadratic_sigma_model, 0.5),
+        (_outrun_neutral_model, 0.0),
+        (lambda: jump_linear(3.0, 1.0, 0.3, 2.0, UniformSigns(),
+                             PointConstant(1.0), 1.0), 0.0),
+        (lambda: jump_linear(3.0, 1.0, 0.2, 2.0, GaussianMarks(),
+                             PointConstant(1.0), 1.0, saturating=True), 0.0),
+    ], ids=["linear", "linear-p0.5", "weak", "weak-p0.5", "quadratic",
+            "quadratic-p0.5", "neutral-outrun", "jump-exact", "jump-monte-carlo"])
+    def test_sampled_witnesses_replay_exactly(self, make, p_exp):
+        model = make()
+        for seed in (0, 1, 2):
+            for unbounded in (False, True):
+                sampler = SegmentPairSampler.for_model(model, seed=seed,
+                                                       unbounded=unbounded)
+                _assert_replays_exactly(
+                    model, _checker_verdicts(model, sampler, p_exp))
+
+    def test_identical_pair_failures_replay_violated(self):
+        model = _sign_model()
+        # constant segments at +-5e-9: distinct, but within the identical-pair
+        # tolerance of both fits
+        sampler = _fixed_pair_sampler([5e-9] * 3, [-5e-9] * 3)
+        verdicts = _checker_verdicts(model, sampler, 0.0)
+        assert [v.status for v in verdicts] == [VerdictStatus.FAIL_WITH_WITNESS] * 2
+        assert verdicts[1].constants["alpha3"] == math.inf
+        _assert_replays_exactly(model, verdicts)
