@@ -61,7 +61,9 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--seed", type=int, default=None,
                         help="override [sim] seed")
         sp.add_argument("--threads", type=int, default=None,
-                        help="worker pool size (falls back to $SDDE_THREADS)")
+                        help="worker pool size for per-path runs of hand-rolled "
+                             "models; the built-ins ignore it (falls back to "
+                             "$SDDE_THREADS)")
         sp.add_argument("--output", default=None, metavar="DIR",
                         help="override [output] dir")
         if name == "check":

@@ -332,8 +332,7 @@ def _pair_core(model, t, phi, psi):
             f"sampler produced dimension {phi.dim}/{psi.dim}, model has {model.dim}")
     d0 = np.asarray(phi.eval(0.0)) - np.asarray(psi.eval(0.0))
     db = np.asarray(model.drift(t, phi)) - np.asarray(model.drift(t, psi))
-    sup = uniform_distance(phi, psi)
-    return d0, db, sup
+    return d0, db
 
 
 def _diffusion_sq(model, t, phi, psi) -> float:
@@ -371,30 +370,30 @@ def _jump_delta_sq(model, t, phi, psi, zs, ws, exact):
 
 
 # ---------------------------------------------------------------------------
-# display terms: each display's (L, A, R) on one pair, for check and replay
+# display terms: each display's (L, A, R) on one pair, for check and replay;
+# ``sup`` is the pair's uniform distance, which the caller has at hand
 # ---------------------------------------------------------------------------
 
-def _dissipation_terms(model, t, phi, psi, p_exp):
+def _dissipation_terms(model, t, phi, psi, sup, p_exp):
     """(L, A, R) of the ``check_drift_dissipation`` display."""
-    d0, db, sup = _pair_core(model, t, phi, psi)
+    d0, db = _pair_core(model, t, phi, psi)
     nd0 = float(np.sqrt((d0 * d0).sum()))
     w = nd0 ** p_exp
     return (w * (2.0 * float(d0 @ db) + _diffusion_sq(model, t, phi, psi)),
             nd0 ** (2.0 + p_exp), w * sup * sup)
 
 
-def _domination_terms(model, t, phi, psi, p_exp):
+def _domination_terms(model, t, phi, psi, sup, p_exp):
     """(L, 0, R) of the ``check_diffusion_domination`` display; reads no drift."""
     sq = _diffusion_sq(model, t, phi, psi)
-    sup = uniform_distance(phi, psi)
     return sq ** ((2.0 + p_exp) / 2.0), 0.0, sup ** (2.0 + p_exp)
 
 
-def _neutral_terms(model, t, phi, psi):
+def _neutral_terms(model, t, phi, psi, sup):
     """The neutral bundle's three displays: contraction ``(|dg|/sup, 0, sup)``,
     dissipation through the drift-corrected difference ``d0 - dg``, and
     diffusion domination."""
-    d0, db, sup = _pair_core(model, t, phi, psi)
+    d0, db = _pair_core(model, t, phi, psi)
     dg = np.asarray(model.neutral_map(phi)) - np.asarray(model.neutral_map(psi))
     sq = _diffusion_sq(model, t, phi, psi)
     return ((float(np.sqrt((dg * dg).sum())) / sup, 0.0, sup),
@@ -402,10 +401,10 @@ def _neutral_terms(model, t, phi, psi):
             (sq, 0.0, sup * sup))
 
 
-def _jump_terms(model, t, phi, psi, marks):
+def _jump_terms(model, t, phi, psi, sup, marks):
     """The jump bundle's dissipation and growth displays, whose mark term
     carries its 3-SE inflation, plus that inflation."""
-    d0, db, sup = _pair_core(model, t, phi, psi)
+    d0, db = _pair_core(model, t, phi, psi)
     dj_sq, dj_err = _jump_delta_sq(model, t, phi, psi, *marks)
     jump = model.intensity * (dj_sq + dj_err)
     return ((2.0 * float(d0 @ db) + jump, float((d0 * d0).sum()), sup * sup),
@@ -429,7 +428,7 @@ def _sides(terms, c):
 
 
 def _witness(rows, terms, k, c) -> Witness:
-    _, t, phi, psi = rows[k]
+    _, t, phi, psi, _ = rows[k]
     lhs, rhs = _sides(terms[k], c)
     return Witness(t, phi, psi, float(lhs), float(rhs))
 
@@ -439,8 +438,13 @@ def _witness(rows, terms, k, c) -> Witness:
 # ---------------------------------------------------------------------------
 
 def _gather(sampler, trials):
-    rows = [(i, t, phi, psi) for i, t, phi, psi in sampler.draw(trials)
-            if uniform_distance(phi, psi) > 0.0]
+    """The sampled pairs that differ, as ``(i, t, phi, psi, sup)`` rows
+    carrying their uniform distance ``sup``."""
+    rows = []
+    for i, t, phi, psi in sampler.draw(trials):
+        sup = uniform_distance(phi, psi)
+        if sup > 0.0:
+            rows.append((i, t, phi, psi, sup))
     if not rows:
         raise DomainError("sampler produced no usable (distinct) pairs")
     return rows
@@ -502,8 +506,7 @@ def check_drift_dissipation(model, sampler: SegmentPairSampler | None = None,
         raise DomainError("moment weight must be nonnegative")
     sampler = sampler or SegmentPairSampler.for_model(model)
     rows = _gather(sampler, trials)
-    terms = np.array([_dissipation_terms(model, t, phi, psi, p_exp)
-                      for _, t, phi, psi in rows])
+    terms = np.array([_dissipation_terms(model, *row[1:], p_exp) for row in rows])
     return _two_constant_verdict("drift-dissipation", rows, terms, trials,
                                  {"p_exp": p_exp})
 
@@ -570,8 +573,7 @@ def check_diffusion_domination(model, sampler: SegmentPairSampler | None = None,
         raise DomainError("moment weight must be nonnegative")
     sampler = sampler or SegmentPairSampler.for_model(model)
     rows = _gather(sampler, trials)
-    terms = np.array([_domination_terms(model, t, phi, psi, p_exp)
-                      for _, t, phi, psi in rows])
+    terms = np.array([_domination_terms(model, *row[1:], p_exp) for row in rows])
     return _ratio_verdict("diffusion-domination", rows, terms, sampler, trials,
                           {"p_exp": p_exp})
 
@@ -590,7 +592,7 @@ def check_neutral_conditions(model, sampler: SegmentPairSampler | None = None,
         raise ModelContractError("neutral condition bundle needs a neutral model")
     sampler = sampler or SegmentPairSampler.for_model(model)
     rows = _gather(sampler, trials)
-    terms = np.array([_neutral_terms(model, t, phi, psi) for _, t, phi, psi in rows])
+    terms = np.array([_neutral_terms(model, *row[1:]) for row in rows])
 
     worst = int(np.argmax(terms[:, 0, 0]))
     kappa_hat = float(terms[worst, 0, 0])
@@ -657,8 +659,7 @@ def check_jump_conditions(model, sampler: SegmentPairSampler | None = None,
     sampler = sampler or SegmentPairSampler.for_model(model)
     rows = _gather(sampler, trials)
     marks = _mark_nodes(model, mark_samples, sampler.seed)
-    pair_terms, errs = zip(*(_jump_terms(model, t, phi, psi, marks)
-                             for _, t, phi, psi in rows))
+    pair_terms, errs = zip(*(_jump_terms(model, *row[1:], marks) for row in rows))
     terms = np.array(pair_terms)
 
     exact = marks[2]
@@ -681,23 +682,19 @@ def check_jump_conditions(model, sampler: SegmentPairSampler | None = None,
 # witness replay
 # ---------------------------------------------------------------------------
 
-def _jump_displays(model, wit, c):
+def _jump_displays(model, pair, c):
     marks = _mark_nodes(model, c["mark_samples"], c["mark_seed"])
-    return _jump_terms(model, wit.t, wit.phi, wit.psi, marks)[0]
+    return _jump_terms(model, *pair, marks)[0]
 
 
-# check id -> terms of its display on a witness, given the verdict constants
+# check id -> terms of its display on a witness pair ``(t, phi, psi, sup)``,
+# given the verdict constants
 _DISPLAYS = {
-    "drift-dissipation":
-        lambda m, w, c: _dissipation_terms(m, w.t, w.phi, w.psi, c["p_exp"]),
-    "diffusion-domination":
-        lambda m, w, c: _domination_terms(m, w.t, w.phi, w.psi, c["p_exp"]),
-    "neutral-contraction":
-        lambda m, w, c: _neutral_terms(m, w.t, w.phi, w.psi)[0],
-    "neutral-drift-dissipation":
-        lambda m, w, c: _neutral_terms(m, w.t, w.phi, w.psi)[1],
-    "neutral-diffusion-domination":
-        lambda m, w, c: _neutral_terms(m, w.t, w.phi, w.psi)[2],
+    "drift-dissipation": lambda m, w, c: _dissipation_terms(m, *w, c["p_exp"]),
+    "diffusion-domination": lambda m, w, c: _domination_terms(m, *w, c["p_exp"]),
+    "neutral-contraction": lambda m, w, c: _neutral_terms(m, *w)[0],
+    "neutral-drift-dissipation": lambda m, w, c: _neutral_terms(m, *w)[1],
+    "neutral-diffusion-domination": lambda m, w, c: _neutral_terms(m, *w)[2],
     "jump-drift-dissipation": lambda m, w, c: _jump_displays(m, w, c)[0],
     "jump-growth-domination": lambda m, w, c: _jump_displays(m, w, c)[1],
 }
@@ -717,7 +714,8 @@ def replay_witness(model, verdict: Verdict) -> dict:
     display = _DISPLAYS.get(verdict.check)
     if display is None:
         raise DomainError(f"unknown check id {verdict.check!r}")
-    lhs, rhs = _sides(display(model, wit, verdict.constants), verdict.constants)
+    pair = (wit.t, wit.phi, wit.psi, uniform_distance(wit.phi, wit.psi))
+    lhs, rhs = _sides(display(model, pair, verdict.constants), verdict.constants)
     violation = lhs - rhs
     return {"lhs": float(lhs), "rhs": float(rhs),
             "violation": float(violation),

@@ -23,7 +23,11 @@ which calls the model's own coefficient maps on a segment view with a rows
 axis.  This per-path engine steps one path's history with it and the batch
 kernel in :mod:`sdelab.ensemble` steps a block of rows, so both routes run
 the same arithmetic, along with the same guard predicate and neutral
-newest-point solver.
+newest-point solver.  A jump path advances node by node with
+:func:`_jump_step`; the jump kernel takes the grid steps of a block of
+paths together with the same arithmetic, and finishes a path's steps that
+hold epochs with :func:`_jump_step` itself.  The per-path route serves
+hand-rolled models, whose coefficient maps read one path.
 """
 
 from __future__ import annotations
@@ -456,6 +460,35 @@ def _jump_nodes(xi: Segment, tau: float, h: float, k_hist: int, n_steps: int, ep
     return times, flags, hist.size - 1, epoch_node
 
 
+def _node_marks(epoch_node, marks):
+    """The mark of each epoch node, by node; of two epochs on one node the
+    later mark wins."""
+    return dict(zip(epoch_node.tolist(), marks.tolist()))
+
+
+def _jump_at(model, view, i, times, node_mark):
+    """Add the jump at epoch node ``i``, whose state holds the left limit."""
+    view.head = i
+    view.states[i] = view.states[i] + model.jump_coeff(float(times[i]), view,
+                                                       float(node_mark[i]))
+
+
+def _jump_step(model, view, i, times, flags, node_mark):
+    """One step of a jump path from node ``i`` to node ``i + 1``: the
+    compensated drift over the gap, then the jump if node ``i + 1`` is an
+    epoch (forward nodes are flagged only at epochs).  Writes the new point
+    into ``view.states`` and returns the drift's increment ``b * dt``."""
+    states = view.states
+    view.head = i
+    t = float(times[i])
+    dt = float(times[i + 1] - times[i])
+    b = model.drift(t, view)
+    states[i + 1] = states[i] + (b - model.jump_compensator(t, view)) * dt
+    if flags[i + 1]:
+        _jump_at(model, view, i + 1, times, node_mark)
+    return b * dt
+
+
 def _simulate_jump(model, xi, cfg, stream) -> Trajectory:
     h = cfg.step
     tau = model.tau
@@ -467,36 +500,20 @@ def _simulate_jump(model, xi, cfg, stream) -> Trajectory:
                                            cfg.horizon, stream)
     times, flags, i_zero, epoch_node = _jump_nodes(xi, tau, h, k_hist, n_steps, epochs)
     n_nodes = times.size
-    node_mark = np.zeros(n_nodes)
-    for i, z in zip(epoch_node, marks):  # of two epochs on one node, the later mark wins
-        node_mark[i] = z
+    node_mark = _node_marks(epoch_node, marks)
 
     states = np.empty((n_nodes, n))
     states[:i_zero + 1] = evaluate_many(xi, times[:i_zero + 1])[0]
     dint = np.zeros((n_nodes, n))
 
     view = _CadlagSegView(states, times, tau)
-    drift = model.drift
-    comp = model.jump_compensator
-    jump_coeff = model.jump_coeff
     guard = cfg.divergence_guard
 
     end = n_nodes - 1
     diverged = False
     diverged_at = None
     for i in range(i_zero, n_nodes - 1):
-        view.head = i
-        t = float(times[i])
-        dt = float(times[i + 1] - times[i])
-        b = drift(t, view)
-        applied = b - comp(t, view)
-        x_pre = states[i] + applied * dt
-        dint[i + 1] = dint[i] + b * dt
-        states[i + 1] = x_pre
-        if flags[i + 1]:  # forward nodes are flagged only at epochs
-            view.head = i + 1  # newest point is the left limit at the epoch
-            states[i + 1] = x_pre + jump_coeff(float(times[i + 1]), view,
-                                               float(node_mark[i + 1]))
+        dint[i + 1] = dint[i] + _jump_step(model, view, i, times, flags, node_mark)
         if _out_of_guard(states[i + 1], guard):
             diverged = True
             diverged_at = float(times[i + 1])

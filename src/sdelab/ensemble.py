@@ -2,24 +2,27 @@
 
 Two routes produce the same per-path numbers:
 
-* a vectorized kernel that steps all paths of an ensemble simultaneously on a
-  rolling window buffer -- used for the built-in families of the continuous
-  classes (those carrying a linear descriptor);
+* vectorized kernels that step all paths of a block together -- used for
+  the built-in families (those carrying a descriptor).  The continuous
+  classes step on a rolling window buffer.  The jump class steps every
+  path's node table on the uniform grid and finishes alone only the steps
+  of a path that hold one of its epochs;
 * a generic fallback that simulates paths one by one through
-  :func:`sdelab.engine.simulate` -- used for hand-rolled coefficients and for
-  the jump class (whose exact-epoch grids differ per path).  It runs them on
-  ``cfg.threads`` threads.
+  :func:`sdelab.engine.simulate` -- used for hand-rolled coefficients only.
+  It runs them on ``cfg.threads`` threads.
 
 Because every path's noise is addressed by ``(master_seed, path_index, step,
 channel)``, the two routes consume identical randomness, and for the
 built-ins they produce bitwise-identical states: both advance every path by
-the one Euler step :func:`sdelab.engine._euler_step`, which calls the
-model's own drift, diffusion and neutral map on a segment view -- here over
-the block of all paths.  Both routes also share one guard predicate, one
-newest-point solver for the neutral class, and one divergence rule -- a
-path (or coupled pair) is diverged from its first step out of the guard,
-and observers never see it at or after that step.  The batch kernel writes
-NaN into the rows of diverged paths; the per-path route stops feeding them.
+the same steps of :mod:`sdelab.engine` (:func:`~sdelab.engine._euler_step`,
+and :func:`~sdelab.engine._jump_step` for the jump class), which call the
+model's own coefficient maps on a segment view -- here over the block of
+all paths, whose reads find each row's node by the engine's one node rule.
+Both routes also share one guard predicate, one newest-point solver for the
+neutral class, and one divergence rule -- a path (or coupled pair) is
+diverged from its first step out of the guard, and observers never see it
+at or after that step.  The batch kernels write NaN into the rows of
+diverged paths; the per-path route stops feeding them.
 :func:`refuse_divergence` is the one rule by which estimators refuse an
 ensemble in which more than 1% of the paths diverged.
 
@@ -27,7 +30,9 @@ Estimators talk to the runners through observers: an observer is notified
 with the trailing ``tau``-window of the state after every step and reduces it
 immediately (record at chosen steps, accumulate time averages), so long
 horizons never materialize full ensembles in memory.  Coupled runs pass two
-windows, one per initial segment.
+windows, one per initial segment.  Jump windows differ in length from path
+to path, so the jump kernel shows each path its own window through
+``see_path``, as the per-path route does.
 """
 
 from __future__ import annotations
@@ -38,19 +43,32 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 
 from .errors import DivergenceError, DomainError
-from .models import LinearRetardedDescriptor, ModelClass, NeutralLinearDescriptor
+from .models import (
+    JumpLinearDescriptor,
+    LinearRetardedDescriptor,
+    ModelClass,
+    NeutralLinearDescriptor,
+    delay_atoms,
+)
 from .engine import (
     SimConfig,
+    _CadlagSegView,
     _UniformSegView,
+    _check_initial,
     _euler_step,
     _history_on_grid,
+    _jump_at,
+    _jump_nodes,
+    _jump_step,
     _node_index,
+    _node_marks,
     _out_of_guard,
+    sample_poisson_measure,
     simulate,
     steps_per_window,
 )
 from .noise import NoiseStream
-from .paths import Segment
+from .paths import Segment, evaluate_many
 
 __all__ = [
     "WindowRecorder",
@@ -185,7 +203,11 @@ def refuse_divergence(outcome: EnsembleOutcome, what: str) -> None:
 
 
 def supports_batch(model) -> bool:
-    return isinstance(model.descriptor, (LinearRetardedDescriptor, NeutralLinearDescriptor))
+    """Whether ``run_ensemble`` steps the model's paths together: true for
+    the built-in families (by their descriptor), whose coefficient maps
+    read a block of rows; hand-rolled models run path by path."""
+    return isinstance(model.descriptor, (LinearRetardedDescriptor, NeutralLinearDescriptor,
+                                         JumpLinearDescriptor))
 
 
 def run_ensemble(model, xi, cfg: SimConfig, n_paths: int, observer,
@@ -194,9 +216,11 @@ def run_ensemble(model, xi, cfg: SimConfig, n_paths: int, observer,
     feeding every post-step window to ``observer``."""
     if n_paths < 1:
         raise DomainError("need at least one path")
-    if supports_batch(model):
-        return _run_batch(model, xi, cfg, n_paths, observer, path_offset, eta)
-    return _run_generic(model, xi, cfg, n_paths, observer, path_offset, eta)
+    if not supports_batch(model):
+        return _run_generic(model, xi, cfg, n_paths, observer, path_offset, eta)
+    if model.model_class is ModelClass.JUMP:
+        return _run_jump(model, xi, cfg, n_paths, observer, path_offset, eta)
+    return _run_batch(model, xi, cfg, n_paths, observer, path_offset, eta)
 
 
 # ---------------------------------------------------------------------------
@@ -271,6 +295,192 @@ def _run_batch(model, xi, cfg, n_paths, observer, path_offset, eta):
             observer.see_batch(k + 1, *wins())
 
     return outcome
+
+
+# ---------------------------------------------------------------------------
+# batch kernel (jump built-ins)
+# ---------------------------------------------------------------------------
+
+class _CadlagRowsView:
+    """Segment protocol over a block of jump paths whose heads (flat node
+    indices ``head``, states ``now``) all sit on grid node ``k``, of time
+    ``t``.
+
+    Row r's node times are ``row_times[r]``, its first node
+    ``states[first[r]]``.  ``reads`` maps a fixed offset theta to its flat
+    nodes at every grid node (grid node x row), found up front; a lag that
+    moves with ``t`` is searched row by row.
+    """
+
+    __slots__ = ("states", "row_times", "first", "reads", "head", "now", "t", "k")
+
+    def __init__(self, states, row_times, first, reads):
+        self.states = states
+        self.row_times = row_times
+        self.first = first
+        self.reads = reads
+
+    def zero(self):
+        return self.now
+
+    def eval(self, theta):
+        if theta == 0.0:
+            return self.now
+        read = self.reads.get(theta)
+        if read is not None:
+            return self.states[read[self.k]]
+        # every head's time is t, so this is _CadlagSegView.eval on each row
+        x = self.t + theta
+        i = self.first + np.array([_node_index(times, x) for times in self.row_times])
+        return self.states[np.minimum(i, self.head)]
+
+
+def _run_jump(model, xi, cfg, n_paths, observer, path_offset, eta):
+    h, tau = cfg.step, model.tau
+    k_hist = steps_per_window(tau, h, "tau")
+    n_steps = steps_per_window(cfg.horizon, h, "horizon")
+    starts = [xi] if eta is None else [xi, eta]
+    for seg in starts:
+        _check_initial(model, seg)
+    outcome = EnsembleOutcome(n_paths)
+    hist = None
+
+    # a block holds whole paths, at most _CHUNK_PATH_STEPS nodes (or one path)
+    block, size = [], 0
+    for p in range(n_paths):
+        # a coupled pair shares its stream, so both rows take the same epochs
+        epochs, marks = sample_poisson_measure(
+            model.intensity, model.mark_law, cfg.horizon,
+            NoiseStream(cfg.master_seed, path_offset + p))
+        tables = []
+        for seg in starts:
+            times, flags, i_zero, epoch_node = _jump_nodes(seg, tau, h, k_hist, n_steps, epochs)
+            tables.append((times, flags, i_zero, _node_marks(epoch_node, marks)))
+        if hist is None:  # the window nodes depend on the initial segment alone
+            hist = [evaluate_many(seg, tab[0][:tab[2] + 1])[0]
+                    for seg, tab in zip(starts, tables)]
+        nodes = sum(tab[0].size for tab in tables)
+        if block and size + nodes > _CHUNK_PATH_STEPS:
+            _jump_block(model, cfg, n_steps, hist, block, p - len(block) // len(starts),
+                        observer, outcome)
+            block, size = [], 0
+        block += tables
+        size += nodes
+    _jump_block(model, cfg, n_steps, hist, block, n_paths - len(block) // len(starts),
+                observer, outcome)
+    return outcome
+
+
+def _jump_block(model, cfg, n_steps, hist, tables, p0, observer, outcome):
+    """Run the paths ``p0, p0 + 1, ...`` of one block, one row per node
+    table ``(times, flags, node of time 0, marks)``, two rows per coupled
+    pair.
+
+    All rows step together from grid node to grid node with a scalar ``t``;
+    a row whose step holds epoch nodes takes its first sub-step with the
+    block and finishes the step alone, as :func:`engine._simulate_jump`
+    does.  Observers see each row's exact window one step late, once a
+    divergence within the next step is known.
+    """
+    h, tau, guard = cfg.step, model.tau, cfg.divergence_guard
+    n_starts = len(hist)
+    n_rows = len(tables)
+    row_times = [tab[0] for tab in tables]
+    first = np.cumsum([0] + [times.size for times in row_times])
+    states = np.empty((first[-1], model.dim))
+    for r, tab in enumerate(tables):
+        states[first[r]:first[r] + tab[2] + 1] = hist[r % n_starts]
+
+    # flat nodes by the _node_index rule (grid node x row): each grid time,
+    # the ends of each step's observer window (t - tau through t), and the
+    # model's fixed delayed reads; grid node k sits at k * h exactly, as the
+    # node tables hold h * k.  A step that passes an epoch node of its row,
+    # or ends on one, is split
+    grid = np.arange(n_steps + 1) * h
+    thetas = [theta for theta in delay_atoms(model.delay) if theta != 0.0]
+    node, lo, hi, *reads = nodes = np.empty((3 + len(thetas), n_steps + 1, n_rows), np.intp)
+    split = np.empty((n_steps, n_rows), dtype=bool)
+    for r, (times, flags, *_) in enumerate(tables):
+        node[:, r] = at = np.searchsorted(times, grid)
+        split[:, r] = (np.diff(at) > 1) | flags[at[1:]]
+        lo[:, r] = _node_index(times, grid - tau)
+        hi[:, r] = _node_index(times, grid) + 1
+        for theta, read in zip(thetas, reads):
+            read[:, r] = np.minimum(_node_index(times, grid + theta), at)
+    nodes += first[:-1]
+    split_steps = set(np.flatnonzero(split.any(axis=1)).tolist())
+
+    view = _CadlagRowsView(states, row_times, first[:-1], dict(zip(thetas, reads)))
+    dead = np.zeros(n_rows, dtype=bool)
+    bad_time = np.full(n_rows, np.nan)
+    stop = [math.inf] * (n_rows // n_starts)  # observe a path while k * h < stop
+    earliest = math.inf
+    live = list(range(n_rows // n_starts))
+
+    def diverge(r, i):
+        """Row r's first bad node is its node i."""
+        nonlocal earliest
+        dead[r] = True
+        bad_time[r] = row_times[r][i]
+        states[first[r] + i:first[r + 1]] = np.nan
+        p = r // n_starts
+        stop[p] = min(stop[p], bad_time[r] - 1e-12)
+        earliest = min(earliest, stop[p])
+
+    def finish_row(r, k, applied):
+        times, flags, _, marks = tables[r]
+        a = first[r]
+        rv = _CadlagSegView(states[a:first[r + 1]], times, tau)
+        i = node[k, r] - a + 1
+        # the block stepped the row by the grid spacing; redo the sub-step to
+        # the row's own next node, which may be a nearer epoch
+        rv.states[i] = rv.states[i - 1] + applied * float(times[i] - times[i - 1])
+        if flags[i]:
+            _jump_at(model, rv, i, times, marks)
+        while not _out_of_guard(rv.states[i], guard):
+            if i == node[k + 1, r] - a:
+                return
+            _jump_step(model, rv, i, times, flags, marks)
+            i += 1
+        diverge(r, i)
+
+    def observe(k):
+        nonlocal live
+        t = k * h
+        if t >= earliest:
+            live = [p for p in live if t < stop[p]]
+        lo_k, hi_k = lo[k].tolist(), hi[k].tolist()
+        for p in live:
+            r = p * n_starts
+            observer.see_path(p0 + p, k, *[states[lo_k[q]:hi_k[q]]
+                                            for q in range(r, r + n_starts)])
+
+    now = states[node[0]]  # each row's state at its grid node
+    for k in range(n_steps):
+        cur = node[k]
+        t = k * h
+        view.head, view.now, view.t, view.k = cur, now, t, k
+        applied = model.drift(t, view) - model.jump_compensator(t, view)
+        now = now + applied * ((k + 1) * h - t)
+        states[cur + 1] = now
+        bad = _out_of_guard(now, guard)
+        if k in split_steps:
+            split_rows = np.flatnonzero(split[k])
+            bad[split_rows] = False
+            for r in split_rows.tolist():
+                if not dead[r]:
+                    finish_row(r, k, applied[r])
+            now[split_rows] = states[node[k + 1, split_rows]]
+        if bad.any():
+            for r in np.flatnonzero(bad & ~dead).tolist():
+                diverge(r, cur[r] + 1 - first[r])
+                now[r] = np.nan
+        observe(k)
+    observe(n_steps)
+
+    pair_bad = np.fmin.reduce(bad_time.reshape(-1, n_starts), axis=1)
+    outcome.first_bad_time[p0:p0 + pair_bad.size] = pair_bad
+    outcome.diverged[p0:p0 + pair_bad.size] = ~np.isnan(pair_bad)
 
 
 # ---------------------------------------------------------------------------

@@ -8,11 +8,12 @@ A ``ModelSpec`` bundles the coefficient maps of one equation:
 
 Coefficients take the running segment (anything implementing ``zero()`` /
 ``eval(theta)`` / ``sup_norm()``) and return length-n vectors.  The built-in
-continuous families are written with broadcasting, so the vectorized
-ensemble engine calls them once on a block of paths, whose reads return one
-row per path; their structural descriptor marks them for that engine and
-for the analytic rate calculators.  Hand-rolled coefficient maps work
-everywhere through the generic per-path engine.
+families are written with broadcasting, so one call on a block of paths,
+whose reads return one row per path, returns one row per path (the jump
+coefficient then takes its marks as a column); the vectorized ensemble
+kernels call them that way.  Their structural descriptor marks them for
+those kernels and for the analytic rate calculators.  Hand-rolled
+coefficient maps work everywhere through the generic per-path engine.
 """
 
 from __future__ import annotations
@@ -431,10 +432,10 @@ def jump_linear(a: float, b_lag: float, jump_scale: float, intensity: float,
 
     if saturating:
         def jump_coeff(t, seg, z, _s=jump_scale, _e=ones):
-            return _s * z * (1.0 + float(np.sqrt((seg.zero() ** 2).sum()))) * _e
+            return _s * z * _saturation(seg) * _e
 
         def compensator(t, seg, _lam=intensity, _s=jump_scale, _m=mark_law.mean(), _e=ones):
-            return _lam * _s * _m * (1.0 + float(np.sqrt((seg.zero() ** 2).sum()))) * _e
+            return _lam * _s * _m * _saturation(seg) * _e
 
         def second_moment(t, seg, _lam=intensity, _s=jump_scale, _m2=mark_law.second_moment(),
                           _n=dim):
@@ -459,6 +460,12 @@ def jump_linear(a: float, b_lag: float, jump_scale: float, intensity: float,
         intensity=intensity, mark_law=mark_law,
         descriptor=JumpLinearDescriptor(a, b_lag, jump_scale, intensity, delay, saturating),
     )
+
+
+def _saturation(seg):
+    """``1 + |phi(0)|`` of each row of ``seg``, as a column (shape ``(1,)``
+    for one path), so a mark column ``z`` scales its own row."""
+    return 1.0 + np.sqrt((seg.zero() ** 2).sum(axis=-1, keepdims=True))
 
 
 def _check_delay_in_window(delay: DelaySpec, tau: float):

@@ -8,9 +8,14 @@ import pytest
 from sdelab import (
     Distributed,
     DomainError,
+    GaussianMarks,
+    ModelClass,
+    ModelSpec,
+    NoiseStream,
     PointConstant,
     PointVariable,
     Segment,
+    SegmentKind,
     SimConfig,
     UniformSigns,
     jump_linear,
@@ -18,6 +23,8 @@ from sdelab import (
     neutral_linear,
     simulate,
 )
+from sdelab import engine, ensemble
+from sdelab.engine import _node_index
 from sdelab.ensemble import (
     EnsembleOutcome,
     IntegralAccumulator,
@@ -30,6 +37,15 @@ from sdelab.ensemble import (
 from helpers import retarded_model
 
 ONES = Segment.constant(np.array([1.0]), 1.0)
+STEP = SegmentKind.CADLAG_STEP
+JUMP_ONES = Segment.constant(np.array([1.0]), 1.0, kind=STEP)
+# history jumps off the step grid (h = 0.05), on it, and within 1e-13 of it
+XI_JUMPS = Segment(STEP, np.array([-1.0, -0.503, -0.5, -0.2 + 1e-13, 0.0]),
+                   np.array([[1.0], [2.0], [-0.5], [-1.0], [0.5]]),
+                   np.array([False, True, True, True, False]))
+ETA_JUMPS = Segment(STEP, np.array([-1.0, -0.7, -0.35, -0.1234, 0.0]),
+                    np.array([[0.0], [1.0], [-2.0], [0.3], [0.3]]),
+                    np.array([False, True, True, True, False]))
 
 
 def terminal_value(*wins):
@@ -125,17 +141,199 @@ def test_generic_models_take_the_fallback_route():
     assert np.all(np.isfinite(rec.out["x"]))
 
 
-def test_jump_models_take_the_fallback_route():
+def test_jump_built_ins_take_the_batch_route(monkeypatch):
     model = jump_linear(3.0, 1.0, 0.3, 2.0, UniformSigns(), PointConstant(1.0), 1.0)
-    assert not supports_batch(model)
+    assert supports_batch(model)
+
+    def per_path(*args):  # pragma: no cover - fails the test if reached
+        raise AssertionError("took the per-path route")
+
+    monkeypatch.setattr(ensemble, "_run_generic", per_path)
+    monkeypatch.setattr(ensemble, "simulate", per_path)
     cfg = SimConfig(step=0.1, horizon=2.0, master_seed=1)
     rec = recorder([0, 20], 4)
-    run_ensemble(model, ONES, cfg, 4, rec)
+    run_ensemble(model, JUMP_ONES, cfg, 4, rec)
     # step 0 window ends at the initial value; step 20 is the t = 2 window
     assert np.all(rec.out["x"][:, 0] == 1.0)
     for p in range(4):
-        traj = simulate(model, ONES, cfg, path_index=p)
+        traj = simulate(model, JUMP_ONES, cfg, path_index=p)
         assert rec.out["x"][p, 1] == traj.state_at(2.0)[0]
+
+
+def test_hand_rolled_jump_models_take_the_per_path_route(monkeypatch):
+    # the same equation as a ModelSpec of its own: its closures take a scalar
+    # mark, so its paths run one at a time through simulate
+    built_in = jump_linear(3.0, 1.0, 0.3, 2.0, UniformSigns(), PointConstant(1.0), 1.0)
+    model = ModelSpec(
+        model_class=ModelClass.JUMP, dim=1, brownian_dim=0, tau=1.0,
+        drift=built_in.drift, jump_coeff=lambda t, seg, z: np.array([0.3 * z]),
+        jump_compensator=lambda t, seg: np.zeros(1),
+        intensity=2.0, mark_law=UniformSigns())
+    assert not supports_batch(model)
+    calls = []
+    monkeypatch.setattr(ensemble, "simulate",
+                        lambda *args: calls.append(args[-1].path_index) or simulate(*args))
+    cfg = SimConfig(step=0.1, horizon=2.0, master_seed=1)
+    rec = recorder([0, 20], 4)
+    run_ensemble(model, JUMP_ONES, cfg, 4, rec)
+    assert calls == [0, 1, 2, 3]
+    ref = recorder([0, 20], 4)
+    run_ensemble(built_in, JUMP_ONES, cfg, 4, ref)
+    assert np.array_equal(rec.out["x"], ref.out["x"])
+
+
+# ---------------------------------------------------------------------------
+# jump kernel: every window and outcome equal to simulate, path by path
+# ---------------------------------------------------------------------------
+
+class WindowLog:
+    """Keep a copy of every window a runner shows, by (path, step)."""
+
+    def __init__(self):
+        self.seen = {}
+
+    def see_path(self, path, step, *wins):
+        self.seen[path, step] = [w.copy() for w in wins]
+
+
+def simulated_windows(model, starts, cfg, n_paths, path_offset):
+    """Each path's (or pair's) windows by step, and its first bad time, from
+    ``simulate``: the window at step k holds the nodes from t - tau through
+    t by the node rule, and the path is not shown from its first bad step on."""
+    h, tau = cfg.step, model.tau
+    seen, first_bad = {}, np.full(n_paths, np.nan)
+    for p in range(n_paths):
+        stream = NoiseStream(cfg.master_seed, path_offset + p)
+        trajs = [simulate(model, seg, cfg, stream) for seg in starts]
+        stop = min((tr.diverged_at for tr in trajs if tr.diverged), default=math.inf)
+        first_bad[p] = stop if stop < math.inf else np.nan
+        for k in range(round(cfg.horizon / h) + 1):
+            t = k * h
+            if t >= stop - 1e-12:
+                break
+            seen[p, k] = [tr.states[_node_index(tr.times, t - tau):_node_index(tr.times, t) + 1]
+                          for tr in trajs]
+    return seen, first_bad
+
+
+def assert_jump_kernel_matches_simulate(model, starts, cfg, n_paths, path_offset=0):
+    assert supports_batch(model)
+    log = WindowLog()
+    eta = starts[1] if len(starts) > 1 else None
+    out = run_ensemble(model, starts[0], cfg, n_paths, log, path_offset, eta)
+    seen, first_bad = simulated_windows(model, starts, cfg, n_paths, path_offset)
+    assert log.seen.keys() == seen.keys()
+    for key, wins in seen.items():
+        got = log.seen[key]
+        assert len(got) == len(wins)
+        for g, w in zip(got, wins):
+            assert g.shape == w.shape and np.array_equal(g, w)  # bitwise
+    assert np.array_equal(out.first_bad_time, first_bad, equal_nan=True)
+    assert np.array_equal(out.diverged, ~np.isnan(first_bad))
+    assert out.max_fixed_point_iters == 0
+    return out
+
+
+JUMP_STARTS = {"constant": [JUMP_ONES], "history-jumps": [XI_JUMPS]}
+
+
+@pytest.mark.parametrize("starts", JUMP_STARTS.values(), ids=JUMP_STARTS.keys())
+@pytest.mark.parametrize("delay", RETARDED_DELAYS.values(), ids=RETARDED_DELAYS.keys())
+def test_jump_kernel_matches_simulate(delay, starts):
+    model = jump_linear(3.0, 1.0, 0.3, 5.0, UniformSigns(), delay, 1.0)
+    cfg = SimConfig(step=0.05, horizon=3.0, master_seed=13)
+    assert_jump_kernel_matches_simulate(model, starts, cfg, 5)
+
+
+@pytest.mark.parametrize("delay", [PointConstant(0.73), VARIABLE_DELAYS["variable-fractional"]],
+                         ids=["point-fractional", "variable-fractional"])
+def test_jump_kernel_matches_simulate_coupled(delay):
+    # xi and eta carry different history jumps, so the rows of a pair have
+    # different node tables over the same epochs
+    model = jump_linear(3.0, 1.0, 0.3, 5.0, GaussianMarks(0.1, 1.0), delay, 1.0)
+    cfg = SimConfig(step=0.05, horizon=3.0, master_seed=21)
+    assert_jump_kernel_matches_simulate(model, [XI_JUMPS, ETA_JUMPS], cfg, 5)
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_jump_kernel_matches_simulate_saturating(dim):
+    model = jump_linear(3.0, 1.0, 0.3, 5.0, GaussianMarks(0.2, 1.0),
+                        DISTRIBUTED_DELAYS["distributed-fractional"], 1.0, dim=dim,
+                        saturating=True)
+    xi = Segment.constant(np.linspace(1.0, -0.5, dim), 1.0, kind=STEP)
+    eta = Segment.constant(np.linspace(-0.5, 2.0, dim), 1.0, kind=STEP)
+    cfg = SimConfig(step=0.05, horizon=3.0, master_seed=5)
+    assert_jump_kernel_matches_simulate(model, [xi], cfg, 4, path_offset=7)
+    assert_jump_kernel_matches_simulate(model, [xi, eta], cfg, 4)
+
+
+def test_jump_kernel_matches_simulate_with_epochs_on_grid_nodes(monkeypatch):
+    # every other epoch moved onto a grid node, or within 1e-14 or 2e-13 of
+    # one, plus one just after t = 0 and two sharing the last node
+    draw = engine.sample_poisson_measure
+
+    def snapped(intensity, law, horizon, stream):
+        epochs, marks = draw(intensity, law, horizon, stream)
+        offsets = np.resize([0.0, 1e-14, -2e-13], epochs[::2].size)
+        epochs[::2] = np.round(epochs[::2] / 0.05) * 0.05 + offsets
+        epochs = np.concatenate([[3e-13], epochs, [horizon - 1e-14, horizon]])
+        keep = (epochs > 0.0) & (epochs <= horizon)
+        return np.sort(epochs[keep]), np.resize(marks, keep.sum())
+
+    monkeypatch.setattr(engine, "sample_poisson_measure", snapped)
+    monkeypatch.setattr(ensemble, "sample_poisson_measure", snapped)
+    model = jump_linear(3.0, 1.0, 0.3, 5.0, GaussianMarks(0.2, 1.0), PointConstant(1.0), 1.0,
+                        saturating=True)
+    cfg = SimConfig(step=0.05, horizon=3.0, master_seed=3)
+    assert_jump_kernel_matches_simulate(model, [XI_JUMPS, ETA_JUMPS], cfg, 5)
+
+
+def test_jump_kernel_stops_a_path_at_its_first_bad_node():
+    # a < b_lag with saturating jumps blows up; the 50 guard is crossed mid-run
+    model = jump_linear(0.5, 3.0, 0.3, 5.0, UniformSigns(), PointConstant(1.0), 1.0,
+                        saturating=True)
+    cfg = SimConfig(step=0.05, horizon=6.0, master_seed=2, divergence_guard=50.0)
+    out = assert_jump_kernel_matches_simulate(model, [JUMP_ONES], cfg, 6)
+    assert out.n_diverged == 6 and np.all(out.first_bad_time < 6.0)
+    # in each pair the eta row, started at 3, crosses first; some pairs
+    # cross at an epoch node, between grid nodes
+    eta = Segment.constant(np.array([3.0]), 1.0, kind=STEP)
+    out = assert_jump_kernel_matches_simulate(model, [XI_JUMPS, eta], cfg, 6)
+    assert out.n_diverged == 6 and np.all(out.first_bad_time < 6.0)
+    assert np.any(np.round(out.first_bad_time / 0.05) * 0.05 != out.first_bad_time)
+    # the estimators' observers stop there too, on both routes
+    for observer in (lambda: recorder(range(121), 6),
+                     lambda: IntegralAccumulator(10, 1, terminal_value, 6, 110)):
+        kept = []
+        for run in (run_ensemble, _run_generic):
+            obs = observer()
+            run(model, XI_JUMPS, cfg, 6, obs, 0, eta)
+            kept.append(obs.out["x"] if isinstance(obs, WindowRecorder)
+                        else (obs.block_sums, obs.block_counts, obs.max_abs))
+        if isinstance(kept[0], tuple):
+            assert all(np.array_equal(a, b) for a, b in zip(*kept))
+        else:
+            assert np.array_equal(kept[0], kept[1], equal_nan=True)
+
+
+def test_jump_kernel_across_path_blocks(monkeypatch):
+    # a pair holds about 200 nodes (2 rows of 81 grid nodes, epochs and
+    # history jumps), so blocks of at most 450 nodes take two pairs each and
+    # 7 pairs end on a short block
+    model = jump_linear(3.0, 1.0, 0.3, 5.0, UniformSigns(), PointConstant(0.73), 1.0)
+    cfg = SimConfig(step=0.05, horizon=3.0, master_seed=17)
+    monkeypatch.setattr(ensemble, "_CHUNK_PATH_STEPS", 450)
+    blocks = []
+    block = ensemble._jump_block
+
+    def spy(model, cfg, n_steps, hist, tables, p0, observer, outcome):
+        blocks.append((p0, len(tables), sum(tab[0].size for tab in tables)))
+        block(model, cfg, n_steps, hist, tables, p0, observer, outcome)
+
+    monkeypatch.setattr(ensemble, "_jump_block", spy)
+    assert_jump_kernel_matches_simulate(model, [JUMP_ONES, XI_JUMPS], cfg, 7, path_offset=2)
+    assert [(p0, rows) for p0, rows, _ in blocks] == [(0, 4), (2, 4), (4, 4), (6, 2)]
+    assert all(nodes <= 450 for *_, nodes in blocks)
 
 
 # ---------------------------------------------------------------------------

@@ -24,6 +24,8 @@ from sdelab import (
     neutral_linear,
 )
 
+from sdelab.engine import _UniformSegView
+
 TWO_ATOM = Distributed(atoms=(-1.0, 0.0), weights=(0.5, 0.5))
 
 
@@ -224,6 +226,26 @@ def test_saturating_jump_coefficient():
     np.testing.assert_allclose(m.jump_coeff(0.0, seg, 1.0), [0.3 * (1.0 + 4.0)])
     # second moment map scales with the squared amplitude
     assert m.jump_second_moment(0.0, seg) == pytest.approx(2.0 * (0.3 * 5.0) ** 2)
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+@pytest.mark.parametrize("saturating", [False, True], ids=["additive", "saturating"])
+def test_jump_closures_on_rows_equal_row_calls(saturating, dim):
+    # a block view reads one row per path and the marks come as a column;
+    # each row must get exactly what a call on that path alone returns
+    m = jump_linear(3.0, 1.0, 0.3, 2.0, GaussianMarks(0.2, 1.0), PointConstant(1.0), 1.0,
+                    dim=dim, saturating=saturating)
+    rng = np.random.default_rng(11)
+    block = rng.normal(size=(5, 11, dim)) * 3.0
+    zs = rng.normal(size=5)
+    view = _UniformSegView(block, 0.1, 1.0, 10)
+    rows = [_UniformSegView(block[r], 0.1, 1.0, 10) for r in range(5)]
+    coeff = m.jump_coeff(0.0, view, zs[:, None])
+    assert coeff.shape == (5, dim)
+    assert np.array_equal(coeff, np.stack([m.jump_coeff(0.0, row, float(z))
+                                           for row, z in zip(rows, zs)]))
+    comp = np.broadcast_to(m.jump_compensator(0.0, view), (5, dim))
+    assert np.array_equal(comp, np.stack([m.jump_compensator(0.0, row) for row in rows]))
 
 
 def test_model_spec_class_requirements():
