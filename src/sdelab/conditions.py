@@ -247,7 +247,7 @@ def _fit_two_constants(L, A, R):
     pos = A > tol
     if not pos.any():
         # alpha1 unconstrained; any gap achievable
-        return max(1.0, 2.0 * a2_lo), a2_lo, None
+        return _backed_off(max(1.0, 2.0 * a2_lo), a2_lo)
 
     La, Aa, Ra = L[pos], A[pos], R[pos]
 
@@ -289,8 +289,12 @@ def _fit_two_constants(L, A, R):
             else:
                 lo = mid
         a2 = hi
-    a1 = g(a2)
+    return _backed_off(g(a2), a2)
 
+
+def _backed_off(a1, a2):
+    """Fitted constants backed off by a relative ``_FIT_MARGIN``, so every
+    sampled inequality holds strictly; returns (a1, a2, None)."""
     back = _FIT_MARGIN * max(1.0, abs(a1), abs(a2))
     return a1 - back, a2 + back, None
 

@@ -13,6 +13,12 @@ Sections
 ``[task]``      exactly one task ``name`` plus task-specific parameters.
 ``[output]``    artifact directory (and optional format list).
 ``[initial]``   initial segment (``[initial2]`` for two-segment tasks).
+
+Each task's keys, parsers and defaults live in one table, ``_TASKS``, whose
+order is also the order of ``TASK_NAMES``.  ``[sim]`` keys are ``SimConfig``
+fields (``seed`` is ``master_seed``), parsed by ``_SIM_PARSERS``; a key the
+file leaves out takes ``SimConfig``'s own default, so the library and the
+CLI share one default.
 """
 
 from __future__ import annotations
@@ -46,11 +52,6 @@ from .paths import Segment, SegmentKind, segment_from_csv
 
 __all__ = ["ExperimentConfig", "load_config", "TASK_NAMES"]
 
-TASK_NAMES = (
-    "simulate", "couple", "mixing", "invariant", "moments", "tightness",
-    "kurtz", "halanay", "razumikhin", "check", "skorohod",
-)
-
 # tasks that run the simulation engine and therefore need [model] + [sim]
 _SIM_TASKS = ("simulate", "couple", "mixing", "invariant", "moments",
               "tightness", "kurtz")
@@ -65,35 +66,11 @@ _MODEL_KEYS = {
     "delay", "lag", "delay_base", "delay_amp", "delay_freq",
     "delay_atoms", "delay_weights",
 }
-_SIM_KEYS = {
-    "step", "horizon", "seed", "ensemble", "threads", "divergence_guard",
-    "fixed_point_tol", "fixed_point_max_iter", "segment_grid_points",
-}
 _INITIAL_KEYS = {
     "kind", "value", "start", "end", "amp", "freq", "phase", "offset",
     "path", "points", "tau",
 }
 _OUTPUT_KEYS = {"dir", "formats"}
-_TASK_KEYS = {
-    "simulate": {"name", "path_index"},
-    "couple": {"name", "window_start", "window_end"},
-    "mixing": {"name", "functional", "clip", "eval_times", "pi_burn_in",
-               "pi_ensemble"},
-    "invariant": {"name", "functional", "clip", "burn_in", "eval_stride"},
-    "moments": {"name", "kappa_exp", "burn_in", "n_eval"},
-    "tightness": {"name", "deltas", "eps", "n_eval", "burn_in"},
-    "kurtz": {"name", "eps_list", "n_eval", "tail_start"},
-    "halanay": {"name", "a", "b", "tau"},
-    "razumikhin": {"name", "kappa", "lam", "tau", "q"},
-    "check": {"name", "checks", "trials", "p_exp", "radius", "unbounded",
-              "mark_samples", "sampler_seed", "t_max"},
-    "skorohod": {"name", "space", "resolution"},
-}
-
-_CHECK_IDS = (
-    "drift-dissipation", "diffusion-domination", "neutral-conditions",
-    "jump-conditions",
-)
 
 
 @dataclass(frozen=True)
@@ -202,6 +179,67 @@ def _enum(section, key, raw, choices):
 
 
 # ---------------------------------------------------------------------------
+# [task] and [sim] vocabularies
+# ---------------------------------------------------------------------------
+
+def _task_enum(key, choices):
+    return lambda raw: _enum("task", key, raw, choices)
+
+
+def _check_ids(raw: str) -> tuple:
+    ids = tuple(s.strip() for s in raw.split(",") if s.strip())
+    for cid in ids:
+        _enum("task", "checks", cid, ("drift-dissipation", "diffusion-domination",
+                                      "neutral-conditions", "jump-conditions"))
+    return ids
+
+
+_REQUIRED = object()  # a task key without a default
+_functional = _task_enum("functional", (
+    "value_at_zero", "tanh_value_at_zero", "squared_value_at_zero",
+    "clipped_sup_norm"))
+
+# task -> its keys besides ``name``, in parse order: key -> (parser, default)
+_TASKS = {
+    "simulate": {"path_index": (_as_int, 0)},
+    "couple": {"window_start": (_as_float, _REQUIRED),
+               "window_end": (_as_float, _REQUIRED)},
+    "mixing": {"functional": (_functional, _REQUIRED), "clip": (_as_float, 10.0),
+               "eval_times": (_as_float_list, None),
+               "pi_burn_in": (_as_float, None), "pi_ensemble": (_as_int, None)},
+    "invariant": {"functional": (_functional, _REQUIRED),
+                  "clip": (_as_float, 10.0), "burn_in": (_as_float, _REQUIRED),
+                  "eval_stride": (_as_int, 1)},
+    "moments": {"kappa_exp": (_as_float, 0.1), "burn_in": (_as_float, None),
+                "n_eval": (_as_int, 25)},
+    "tightness": {"deltas": (_as_float_list, _REQUIRED),
+                  "eps": (_as_float, _REQUIRED), "n_eval": (_as_int, 12),
+                  "burn_in": (_as_float, None)},
+    "kurtz": {"eps_list": (_as_float_list, _REQUIRED), "n_eval": (_as_int, 6),
+              "tail_start": (_as_float, None)},
+    "halanay": {k: (_as_float, _REQUIRED) for k in ("a", "b", "tau")},
+    "razumikhin": {k: (_as_float, _REQUIRED) for k in ("kappa", "lam", "tau", "q")},
+    "check": {"checks": (_check_ids, None), "trials": (_as_int, 400),
+              "p_exp": (_as_float, 0.0), "radius": (_as_float, 2.0),
+              "unbounded": (_as_bool, False), "mark_samples": (_as_int, 256),
+              "sampler_seed": (_as_int, 0), "t_max": (_as_float, 10.0)},
+    "skorohod": {"space": (_task_enum("space", ("continuous", "step")), "step"),
+                 "resolution": (_as_float, 0.0)},
+}
+TASK_NAMES = tuple(_TASKS)
+
+# [sim] key -> parser, in parse order; the first three are required.  Each key
+# names its SimConfig field (``seed`` is ``master_seed``), and a key the file
+# leaves out takes SimConfig's own default
+_SIM_PARSERS = {
+    "step": _as_float, "horizon": _as_float, "seed": _as_int,
+    "ensemble": _as_int, "threads": _as_int, "divergence_guard": _as_float,
+    "fixed_point_tol": _as_float, "fixed_point_max_iter": _as_int,
+    "segment_grid_points": _as_int,
+}
+
+
+# ---------------------------------------------------------------------------
 # section builders
 # ---------------------------------------------------------------------------
 
@@ -285,26 +323,15 @@ def _build_model(items: dict) -> ModelSpec:
 
 
 def _build_sim(items: dict) -> SimConfig:
-    _check_keys("sim", items, _SIM_KEYS)
-    step = _get(items, "sim", "step", _as_float, required=True)
-    horizon = _get(items, "sim", "horizon", _as_float, required=True)
-    seed = _get(items, "sim", "seed", _as_int, required=True)
-    try:
-        return SimConfig(
-            step=step,
-            horizon=horizon,
-            master_seed=seed,
-            ensemble=_get(items, "sim", "ensemble", _as_int, default=1),
-            threads=_get(items, "sim", "threads", _as_int, default=1),
-            divergence_guard=_get(items, "sim", "divergence_guard", _as_float,
-                                  default=1e8),
-            fixed_point_tol=_get(items, "sim", "fixed_point_tol", _as_float,
-                                 default=1e-12),
-            fixed_point_max_iter=_get(items, "sim", "fixed_point_max_iter",
-                                      _as_int, default=50),
-            segment_grid_points=_get(items, "sim", "segment_grid_points",
-                                     _as_int),
-        )
+    _check_keys("sim", items, set(_SIM_PARSERS))
+    parsers = list(_SIM_PARSERS.items())
+    given = {key: _get(items, "sim", key, conv, required=True)
+             for key, conv in parsers[:3]}
+    given["master_seed"] = given.pop("seed")
+    try:  # an optional key that fails to parse reports as invalid parameters
+        given.update((key, _get(items, "sim", key, conv))
+                     for key, conv in parsers[3:] if key in items)
+        return SimConfig(**given)
     except Exception as exc:
         raise ConfigError(f"[sim] invalid parameters: {exc}") from exc
 
@@ -369,76 +396,11 @@ def _build_segment(items: dict, section: str, tau: float | None, dim: int,
 def _build_task(items: dict) -> tuple[str, dict]:
     name = _enum("task", "name",
                  _get(items, "task", "name", _as_str, required=True), TASK_NAMES)
-    _check_keys("task", items, _TASK_KEYS[name])
-    p: dict = {}
-    if name == "simulate":
-        p["path_index"] = _get(items, "task", "path_index", _as_int, default=0)
-    elif name == "couple":
-        p["window_start"] = _get(items, "task", "window_start", _as_float,
-                                 required=True)
-        p["window_end"] = _get(items, "task", "window_end", _as_float,
-                               required=True)
-    elif name in ("mixing", "invariant"):
-        p["functional"] = _enum(
-            "task", "functional",
-            _get(items, "task", "functional", _as_str, required=True),
-            ("value_at_zero", "tanh_value_at_zero", "squared_value_at_zero",
-             "clipped_sup_norm"))
-        p["clip"] = _get(items, "task", "clip", _as_float, default=10.0)
-        if name == "mixing":
-            p["eval_times"] = _get(items, "task", "eval_times", _as_float_list)
-            p["pi_burn_in"] = _get(items, "task", "pi_burn_in", _as_float)
-            p["pi_ensemble"] = _get(items, "task", "pi_ensemble", _as_int)
-        else:
-            p["burn_in"] = _get(items, "task", "burn_in", _as_float,
-                                required=True)
-            p["eval_stride"] = _get(items, "task", "eval_stride", _as_int,
-                                    default=1)
-    elif name == "moments":
-        p["kappa_exp"] = _get(items, "task", "kappa_exp", _as_float, default=0.1)
-        p["burn_in"] = _get(items, "task", "burn_in", _as_float)
-        p["n_eval"] = _get(items, "task", "n_eval", _as_int, default=25)
-    elif name == "tightness":
-        p["deltas"] = _get(items, "task", "deltas", _as_float_list, required=True)
-        p["eps"] = _get(items, "task", "eps", _as_float, required=True)
-        p["n_eval"] = _get(items, "task", "n_eval", _as_int, default=12)
-        p["burn_in"] = _get(items, "task", "burn_in", _as_float)
-    elif name == "kurtz":
-        p["eps_list"] = _get(items, "task", "eps_list", _as_float_list,
-                             required=True)
-        p["n_eval"] = _get(items, "task", "n_eval", _as_int, default=6)
-        p["tail_start"] = _get(items, "task", "tail_start", _as_float)
-    elif name == "halanay":
-        for k in ("a", "b", "tau"):
-            p[k] = _get(items, "task", k, _as_float, required=True)
-    elif name == "razumikhin":
-        for k in ("kappa", "lam", "tau", "q"):
-            p[k] = _get(items, "task", k, _as_float, required=True)
-    elif name == "check":
-        raw = _get(items, "task", "checks", _as_str)
-        if raw is not None:
-            ids = tuple(s.strip() for s in raw.split(",") if s.strip())
-            for cid in ids:
-                _enum("task", "checks", cid, _CHECK_IDS)
-            p["checks"] = ids
-        else:
-            p["checks"] = None
-        p["trials"] = _get(items, "task", "trials", _as_int, default=400)
-        p["p_exp"] = _get(items, "task", "p_exp", _as_float, default=0.0)
-        p["radius"] = _get(items, "task", "radius", _as_float, default=2.0)
-        p["unbounded"] = _get(items, "task", "unbounded", _as_bool, default=False)
-        p["mark_samples"] = _get(items, "task", "mark_samples", _as_int,
-                                 default=256)
-        p["sampler_seed"] = _get(items, "task", "sampler_seed", _as_int,
-                                 default=0)
-        p["t_max"] = _get(items, "task", "t_max", _as_float, default=10.0)
-    elif name == "skorohod":
-        p["space"] = _enum("task", "space",
-                           _get(items, "task", "space", _as_str, default="step"),
-                           ("continuous", "step"))
-        p["resolution"] = _get(items, "task", "resolution", _as_float,
-                               default=0.0)
-    return name, p
+    keys = _TASKS[name]
+    _check_keys("task", items, {"name", *keys})
+    return name, {key: _get(items, "task", key, conv, required=default is _REQUIRED,
+                            default=default)
+                  for key, (conv, default) in keys.items()}
 
 
 # ---------------------------------------------------------------------------

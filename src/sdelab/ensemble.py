@@ -53,6 +53,7 @@ from .models import (
 from .engine import (
     SimConfig,
     _CadlagSegView,
+    _NODE_ATOL,
     _UniformSegView,
     _check_initial,
     _euler_step,
@@ -424,7 +425,7 @@ def _jump_block(model, cfg, n_steps, hist, tables, p0, observer, outcome):
         bad_time[r] = row_times[r][i]
         states[first[r] + i:first[r + 1]] = np.nan
         p = r // n_starts
-        stop[p] = min(stop[p], bad_time[r] - 1e-12)
+        stop[p] = min(stop[p], bad_time[r] - _NODE_ATOL)
         earliest = min(earliest, stop[p])
 
     def finish_row(r, k, applied):
@@ -513,7 +514,7 @@ def _run_generic(model, xi, cfg, n_paths, observer, path_offset, eta):
             outcome.first_bad_time[p] = min(bads)
         fp_iters[p] = max(traj.max_fixed_point_iters for traj in trajs)
         # observers never see a path at or after its first bad step
-        stop = min(bads, default=math.inf) - 1e-12
+        stop = min(bads, default=math.inf) - _NODE_ATOL
         for k in range(n_steps + 1):
             if k * h >= stop:
                 break

@@ -23,7 +23,7 @@ import numpy as np
 from scipy.special import stdtrit
 
 from .errors import DomainError, EstimationError
-from .engine import SimConfig, simulate, steps_per_window, _CadlagSegView
+from .engine import SimConfig, simulate, steps_per_window, _CadlagSegView, _node_index
 from .models import ModelClass
 from .noise import NoiseStream, PATH_BLOCK_PI_A, PATH_BLOCK_PI_B
 from .paths import Segment, SegmentKind
@@ -586,7 +586,7 @@ def kurtz_diagnostic(model, xi, cfg: SimConfig, eps_list, *,
         times, states = traj.times, traj.states
         view = _CadlagSegView(states, times, tau)
         lo_t = eval_t[0] - tau - max(eps)
-        i_lo = max(int(np.searchsorted(times, lo_t - 1e-12, side="right")) - 1, 0)
+        i_lo = int(_node_index(times, lo_t, left=True))
         g = np.zeros(times.size)
         for i in range(i_lo, times.size):
             view.head = i
@@ -600,13 +600,13 @@ def kurtz_diagnostic(model, xi, cfg: SimConfig, eps_list, *,
             return np.interp(e, times, cum) - np.interp(s, times, cum)
 
         for it, t in enumerate(eval_t):
-            in_window = times[(times >= t - tau - 1e-12) & (times <= t + 1e-12)]
+            rel = times[_node_index(times, t - tau, left=True) + 1:
+                        _node_index(times, t) + 1] - t
             for ie, e in enumerate(eps):
-                cands = [-tau, -e]
-                cands.extend(u - t for u in in_window if -tau <= u - t <= -e)
-                cands.extend(u - t - e for u in in_window
-                             if -tau <= u - t - e <= -e)
-                starts = t + np.asarray(cands)
+                shifted = rel - e
+                starts = t + np.concatenate((
+                    [-tau, -e], rel[(rel >= -tau) & (rel <= -e)],
+                    shifted[(shifted >= -tau) & (shifted <= -e)]))
                 table[it, ie] += float(np.max(integral(starts, starts + e)))
     _ens.refuse_divergence(outcome, "the displacement diagnostic")
     table /= cfg.ensemble - outcome.n_diverged

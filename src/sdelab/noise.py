@@ -65,10 +65,6 @@ class NoiseStream:
             dtype=_U64,
         )
 
-    def spawn(self, path_index: int) -> "NoiseStream":
-        """Stream for another path of the same experiment."""
-        return NoiseStream(self.master_seed, path_index)
-
     # -- raw word addressing ------------------------------------------------
 
     def raw_words(self, purpose: int, start: int, count: int) -> np.ndarray:

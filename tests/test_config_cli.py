@@ -14,9 +14,10 @@ import textwrap
 import numpy as np
 import pytest
 
-from sdelab import ConfigError, ModelClass, Segment, razumikhin_gamma
+from sdelab import ConfigError, ModelClass, Segment, SimConfig, razumikhin_gamma
+from sdelab import cli
 from sdelab.cli import main
-from sdelab.config import load_config
+from sdelab.config import TASK_NAMES, load_config
 from sdelab.models import Distributed, DiscreteMarks, PointVariable
 from sdelab.paths import SegmentKind, segment_to_csv
 
@@ -297,6 +298,65 @@ class TestLoadConfig:
             load_config(str(path))
         with pytest.raises(ConfigError, match="cannot read"):
             load_config(str(tmp_path / "absent.ini"))
+
+
+# each task's required keys, and the parameters a config holding only those
+# parses to: the rest are the task's defaults
+REQUIRED_ONLY = {
+    "simulate": ({}, {"path_index": 0}),
+    "couple": ({"window_start": "1", "window_end": "2"},
+               {"window_start": 1.0, "window_end": 2.0}),
+    "mixing": ({"functional": "value_at_zero"},
+               {"functional": "value_at_zero", "clip": 10.0, "eval_times": None,
+                "pi_burn_in": None, "pi_ensemble": None}),
+    "invariant": ({"functional": "tanh_value_at_zero", "burn_in": "2"},
+                  {"functional": "tanh_value_at_zero", "clip": 10.0,
+                   "burn_in": 2.0, "eval_stride": 1}),
+    "moments": ({}, {"kappa_exp": 0.1, "burn_in": None, "n_eval": 25}),
+    "tightness": ({"deltas": "0.5 0.1", "eps": "0.3"},
+                  {"deltas": (0.5, 0.1), "eps": 0.3, "n_eval": 12,
+                   "burn_in": None}),
+    "kurtz": ({"eps_list": "0.5, 0.2"},
+              {"eps_list": (0.5, 0.2), "n_eval": 6, "tail_start": None}),
+    "halanay": ({"a": "3", "b": "1", "tau": "1"},
+                {"a": 3.0, "b": 1.0, "tau": 1.0}),
+    "razumikhin": ({"kappa": "0.2", "lam": "1", "tau": "1", "q": "2"},
+                   {"kappa": 0.2, "lam": 1.0, "tau": 1.0, "q": 2.0}),
+    "check": ({}, {"checks": None, "trials": 400, "p_exp": 0.0, "radius": 2.0,
+                   "unbounded": False, "mark_samples": 256, "sampler_seed": 0,
+                   "t_max": 10.0}),
+    "skorohod": ({}, {"space": "step", "resolution": 0.0}),
+}
+ENGINE_TASKS = ("simulate", "couple", "mixing", "invariant", "moments",
+                "tightness", "kurtz")
+
+
+@pytest.mark.parametrize("task", list(REQUIRED_ONLY))
+def test_required_keys_alone_give_the_task_defaults(tmp_path, task):
+    keys, params = REQUIRED_ONLY[task]
+    text = f"[task]\nname = {task}\n" + "".join(
+        f"{k} = {v}\n" for k, v in keys.items())
+    if task in ENGINE_TASKS:
+        text += ("[model]\nname = linear_retarded\na = 1\nb_lag = 1\n"
+                 "sigma0 = 0\ntau = 1\n[sim]\nstep = 0.1\nhorizon = 4\n"
+                 "seed = 7\n[initial]\nkind = constant\nvalue = 1\n")
+    if task == "skorohod":
+        text += "[initial]\nkind = constant\nvalue = 1\ntau = 1\n"
+    if task in ("couple", "mixing", "skorohod"):
+        text += "[initial2]\nkind = constant\nvalue = 0\n"
+    cfg = load_config(write_config(tmp_path, text))
+    assert cfg.task == task
+    assert cfg.task_params == params
+    if task in ENGINE_TASKS:
+        # every [sim] key the file leaves out takes SimConfig's own default
+        assert cfg.sim == SimConfig(step=0.1, horizon=4.0, master_seed=7)
+    else:
+        assert cfg.sim is None
+
+
+def test_every_task_has_a_runner_and_no_runner_lacks_a_task():
+    assert set(cli._RUNNERS) == set(TASK_NAMES)
+    assert set(REQUIRED_ONLY) == set(TASK_NAMES)
 
 
 # ---------------------------------------------------------------------------

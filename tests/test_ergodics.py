@@ -2,12 +2,14 @@
 
 import json
 import math
+import os
 import subprocess
 import sys
 
 import numpy as np
 import pytest
 
+import sdelab
 from sdelab import (
     DivergenceError,
     DomainError,
@@ -283,9 +285,13 @@ def test_moment_check_unstable_negative():
 
 
 def test_import_does_not_load_scipy_stats():
+    # the child imports the same sdelab as this interpreter, wherever it lives
+    src = os.path.dirname(os.path.dirname(os.path.abspath(sdelab.__file__)))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
     code = "import sys, sdelab; print('scipy.stats' in sys.modules)"
     done = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                          text=True, timeout=120, check=True)
+                          text=True, timeout=120, check=True, env=env)
     assert done.stdout.strip() == "False"
 
 

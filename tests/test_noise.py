@@ -51,12 +51,6 @@ def test_same_key_reproduces_different_key_differs():
     assert not np.array_equal(a, d)
 
 
-def test_spawn_addresses_another_path():
-    base = NoiseStream(11, 0)
-    np.testing.assert_array_equal(
-        base.spawn(7).gaussians(0, 4), NoiseStream(11, 7).gaussians(0, 4))
-
-
 def test_path_blocks_are_far_apart():
     assert PATH_BLOCK_PRIMARY == 0
     assert PATH_BLOCK_PI_A == 1 << 20
