@@ -327,10 +327,10 @@ def _build_sim(items: dict) -> SimConfig:
     parsers = list(_SIM_PARSERS.items())
     given = {key: _get(items, "sim", key, conv, required=True)
              for key, conv in parsers[:3]}
+    given.update((key, _get(items, "sim", key, conv))
+                 for key, conv in parsers[3:] if key in items)
     given["master_seed"] = given.pop("seed")
-    try:  # an optional key that fails to parse reports as invalid parameters
-        given.update((key, _get(items, "sim", key, conv))
-                     for key, conv in parsers[3:] if key in items)
+    try:
         return SimConfig(**given)
     except Exception as exc:
         raise ConfigError(f"[sim] invalid parameters: {exc}") from exc

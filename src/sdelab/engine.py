@@ -11,6 +11,8 @@ so jumps land at their exact times.  Every read of a jump path (delayed
 drift reads, observer windows, extracted segments) finds its node by one
 rule, :func:`_node_index`: the last node at or before the time (strictly
 before, for a left limit), a node within ``_NODE_ATOL`` counting as at it.
+Coefficient maps read jump paths through one view, :class:`_CadlagView`,
+which finds the reads at the model's fixed delay offsets up front.
 
 Randomness comes exclusively from a :class:`~sdelab.noise.NoiseStream`, so a
 trajectory is a pure function of ``(model, initial segment, config,
@@ -25,13 +27,15 @@ kernel in :mod:`sdelab.ensemble` steps a block of rows, so both routes run
 the same arithmetic, along with the same guard predicate and neutral
 newest-point solver.  A jump path advances node by node with
 :func:`_jump_step`; the jump kernel takes the grid steps of a block of
-paths together with the same arithmetic, and finishes a path's steps that
-hold epochs with :func:`_jump_step` itself.  The per-path route serves
-hand-rolled models, whose coefficient maps read one path.
+paths together with the same arithmetic, one view head per row, and
+finishes a path's steps that hold epochs with :func:`_jump_step` itself on
+a single head.  The per-path route serves hand-rolled models, whose
+coefficient maps read one path.
 """
 
 from __future__ import annotations
 
+import bisect
 import csv
 import math
 from dataclasses import dataclass, replace
@@ -39,7 +43,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import DomainError, FixedPointError
-from .models import ModelClass, ModelSpec
+from .models import ModelClass, ModelSpec, delay_atoms
 from .noise import NoiseStream
 from .paths import Segment, SegmentKind, evaluate_many
 
@@ -206,16 +210,40 @@ def _node_index(times, t, left=False):
     return np.maximum(i - 1, 0)
 
 
-class _CadlagSegView:
-    """Segment protocol over a non-uniform cadlag node history (jump class)."""
+class _CadlagView:
+    """Segment protocol over jump paths' node tables laid end to end.
 
-    __slots__ = ("states", "times", "head", "tau")
+    Row r holds the flat nodes ``first[r]`` up to ``first[r + 1]``, from the
+    list ``first``.  ``head`` is one flat node, whose reads return ``(n,)``,
+    or one node per row, whose reads return ``(rows, n)``.  A read at offset
+    theta takes the :func:`_node_index` node of the head's time plus theta
+    in the head's row, capped at the head: for each fixed offset of
+    ``thetas`` (the model's delay atoms) found once per node here, for any
+    other offset at read time.
+    """
 
-    def __init__(self, states, times, tau):
+    __slots__ = ("states", "times", "first", "tau", "reads", "head")
+
+    def __init__(self, states, times, first, tau, thetas):
         self.states = states
         self.times = times
+        self.first = first
         self.tau = tau
         self.head = 0
+        self.reads = {}
+        for theta in thetas:
+            if theta != 0.0:
+                # int32 halves the table; 2**31 nodes would take 32 GiB of times and states
+                read = self.reads[theta] = np.empty(times.size, np.int32)
+                for a, b in zip(first[:-1], first[1:]):
+                    row = times[a:b]
+                    read[a:b] = a + np.minimum(_node_index(row, row + theta), np.arange(b - a))
+
+    def _read(self, j, theta):
+        """The flat node read at offset theta from the single head j."""
+        a = self.first[bisect.bisect_right(self.first, j) - 1]
+        past = self.times[a:j + 1]
+        return a + _node_index(past, past[-1] + theta)
 
     def zero(self):
         return self.states[self.head]
@@ -223,12 +251,19 @@ class _CadlagSegView:
     def eval(self, theta):
         if theta == 0.0:
             return self.states[self.head]
-        past = self.times[:self.head + 1]
-        return self.states[_node_index(past, past[-1] + theta)]
+        read = self.reads.get(theta)
+        if read is not None:
+            return self.states[read[self.head]]
+        if np.ndim(self.head) == 0:
+            return self.states[self._read(self.head, theta)]
+        # one head per row: search each row whole, then cap at its head
+        first, x = self.first, (self.times[self.head] + theta).tolist()
+        i = [a + _node_index(self.times[a:b], t) for a, b, t in zip(first, first[1:], x)]
+        return self.states[np.minimum(i, self.head)]
 
     def sup_norm(self):
-        past = self.times[:self.head + 1]
-        win = self.states[_node_index(past, past[-1] - self.tau):self.head + 1]
+        """Sup of the window ending at a single head (hand-rolled models)."""
+        win = self.states[self._read(self.head, -self.tau):self.head + 1]
         if win.shape[1] == 1:
             return float(np.abs(win).max())
         return float(np.sqrt((win ** 2).sum(axis=1)).max())
@@ -506,7 +541,7 @@ def _simulate_jump(model, xi, cfg, stream) -> Trajectory:
     states[:i_zero + 1] = evaluate_many(xi, times[:i_zero + 1])[0]
     dint = np.zeros((n_nodes, n))
 
-    view = _CadlagSegView(states, times, tau)
+    view = _CadlagView(states, times, [0, n_nodes], tau, delay_atoms(model.delay))
     guard = cfg.divergence_guard
 
     end = n_nodes - 1

@@ -17,7 +17,8 @@ built-ins they produce bitwise-identical states: both advance every path by
 the same steps of :mod:`sdelab.engine` (:func:`~sdelab.engine._euler_step`,
 and :func:`~sdelab.engine._jump_step` for the jump class), which call the
 model's own coefficient maps on a segment view -- here over the block of
-all paths, whose reads find each row's node by the engine's one node rule.
+all paths; jump paths of both routes through the one
+:class:`~sdelab.engine._CadlagView`, which finds its fixed-offset reads up front.
 Both routes also share one guard predicate, one newest-point solver for the
 neutral class, and one divergence rule -- a path (or coupled pair) is
 diverged from its first step out of the guard, and observers never see it
@@ -52,7 +53,7 @@ from .models import (
 )
 from .engine import (
     SimConfig,
-    _CadlagSegView,
+    _CadlagView,
     _NODE_ATOL,
     _UniformSegView,
     _check_initial,
@@ -302,40 +303,6 @@ def _run_batch(model, xi, cfg, n_paths, observer, path_offset, eta):
 # batch kernel (jump built-ins)
 # ---------------------------------------------------------------------------
 
-class _CadlagRowsView:
-    """Segment protocol over a block of jump paths whose heads (flat node
-    indices ``head``, states ``now``) all sit on grid node ``k``, of time
-    ``t``.
-
-    Row r's node times are ``row_times[r]``, its first node
-    ``states[first[r]]``.  ``reads`` maps a fixed offset theta to its flat
-    nodes at every grid node (grid node x row), found up front; a lag that
-    moves with ``t`` is searched row by row.
-    """
-
-    __slots__ = ("states", "row_times", "first", "reads", "head", "now", "t", "k")
-
-    def __init__(self, states, row_times, first, reads):
-        self.states = states
-        self.row_times = row_times
-        self.first = first
-        self.reads = reads
-
-    def zero(self):
-        return self.now
-
-    def eval(self, theta):
-        if theta == 0.0:
-            return self.now
-        read = self.reads.get(theta)
-        if read is not None:
-            return self.states[read[self.k]]
-        # every head's time is t, so this is _CadlagSegView.eval on each row
-        x = self.t + theta
-        i = self.first + np.array([_node_index(times, x) for times in self.row_times])
-        return self.states[np.minimum(i, self.head)]
-
-
 def _run_jump(model, xi, cfg, n_paths, observer, path_offset, eta):
     h, tau = cfg.step, model.tau
     k_hist = steps_per_window(tau, h, "tau")
@@ -356,7 +323,7 @@ def _run_jump(model, xi, cfg, n_paths, observer, path_offset, eta):
         tables = []
         for seg in starts:
             times, flags, i_zero, epoch_node = _jump_nodes(seg, tau, h, k_hist, n_steps, epochs)
-            tables.append((times, flags, i_zero, _node_marks(epoch_node, marks)))
+            tables.append((times, flags, i_zero, epoch_node, marks))
         if hist is None:  # the window nodes depend on the initial segment alone
             hist = [evaluate_many(seg, tab[0][:tab[2] + 1])[0]
                     for seg, tab in zip(starts, tables)]
@@ -374,44 +341,48 @@ def _run_jump(model, xi, cfg, n_paths, observer, path_offset, eta):
 
 def _jump_block(model, cfg, n_steps, hist, tables, p0, observer, outcome):
     """Run the paths ``p0, p0 + 1, ...`` of one block, one row per node
-    table ``(times, flags, node of time 0, marks)``, two rows per coupled
-    pair.
+    table ``(times, flags, node of time 0, epoch nodes, marks)``, two rows
+    per coupled pair.  The tables are laid end to end and the list emptied,
+    so its per-row arrays are freed before the block steps.
 
-    All rows step together from grid node to grid node with a scalar ``t``;
-    a row whose step holds epoch nodes takes its first sub-step with the
-    block and finishes the step alone, as :func:`engine._simulate_jump`
-    does.  Observers see each row's exact window one step late, once a
-    divergence within the next step is known.
+    All rows step together from grid node to grid node with a scalar ``t``,
+    reading through one :class:`engine._CadlagView` whose head holds each
+    row's grid node.  A row whose step holds epoch nodes takes its first
+    sub-step with the block and finishes the step alone with
+    :func:`engine._jump_step` on a single head, as
+    :func:`engine._simulate_jump` does.  Observers see each row's exact
+    window one step late, once a divergence within the next step is known.
     """
     h, tau, guard = cfg.step, model.tau, cfg.divergence_guard
     n_starts = len(hist)
     n_rows = len(tables)
-    row_times = [tab[0] for tab in tables]
-    first = np.cumsum([0] + [times.size for times in row_times])
+    first = np.cumsum([0] + [tab[0].size for tab in tables]).tolist()
+    times = np.concatenate([tab[0] for tab in tables])
+    flags = np.concatenate([tab[1] for tab in tables])
+    marks = _node_marks(np.concatenate([a + tab[3] for a, tab in zip(first, tables)]),
+                        np.concatenate([tab[4] for tab in tables]))
     states = np.empty((first[-1], model.dim))
-    for r, tab in enumerate(tables):
-        states[first[r]:first[r] + tab[2] + 1] = hist[r % n_starts]
+    for r, (a, tab) in enumerate(zip(first, tables)):
+        states[a:a + tab[2] + 1] = hist[r % n_starts]
+    tables.clear()
+    view = _CadlagView(states, times, first, tau, delay_atoms(model.delay))
 
-    # flat nodes by the _node_index rule (grid node x row): each grid time,
-    # the ends of each step's observer window (t - tau through t), and the
-    # model's fixed delayed reads; grid node k sits at k * h exactly, as the
-    # node tables hold h * k.  A step that passes an epoch node of its row,
-    # or ends on one, is split
+    # per grid node and row, flat nodes by the _node_index rule: the grid
+    # node (k * h exactly, as the node tables hold h * k) and the ends of
+    # its observer window (t - tau through t).  A step that passes an epoch
+    # node of its row, or ends on one, is split
     grid = np.arange(n_steps + 1) * h
-    thetas = [theta for theta in delay_atoms(model.delay) if theta != 0.0]
-    node, lo, hi, *reads = nodes = np.empty((3 + len(thetas), n_steps + 1, n_rows), np.intp)
+    node, lo, hi = nodes = np.empty((3, n_steps + 1, n_rows), np.intp)
     split = np.empty((n_steps, n_rows), dtype=bool)
-    for r, (times, flags, *_) in enumerate(tables):
-        node[:, r] = at = np.searchsorted(times, grid)
-        split[:, r] = (np.diff(at) > 1) | flags[at[1:]]
-        lo[:, r] = _node_index(times, grid - tau)
-        hi[:, r] = _node_index(times, grid) + 1
-        for theta, read in zip(thetas, reads):
-            read[:, r] = np.minimum(_node_index(times, grid + theta), at)
+    for r, (a, b) in enumerate(zip(first, first[1:])):
+        row = times[a:b]
+        node[:, r] = at = np.searchsorted(row, grid)
+        split[:, r] = (np.diff(at) > 1) | flags[a:b][at[1:]]
+        lo[:, r] = _node_index(row, grid - tau)
+        hi[:, r] = _node_index(row, grid) + 1
     nodes += first[:-1]
     split_steps = set(np.flatnonzero(split.any(axis=1)).tolist())
 
-    view = _CadlagRowsView(states, row_times, first[:-1], dict(zip(thetas, reads)))
     dead = np.zeros(n_rows, dtype=bool)
     bad_time = np.full(n_rows, np.nan)
     stop = [math.inf] * (n_rows // n_starts)  # observe a path while k * h < stop
@@ -419,29 +390,26 @@ def _jump_block(model, cfg, n_steps, hist, tables, p0, observer, outcome):
     live = list(range(n_rows // n_starts))
 
     def diverge(r, i):
-        """Row r's first bad node is its node i."""
+        """Row r's first bad node is flat node i."""
         nonlocal earliest
         dead[r] = True
-        bad_time[r] = row_times[r][i]
-        states[first[r] + i:first[r + 1]] = np.nan
+        bad_time[r] = times[i]
+        states[i:first[r + 1]] = np.nan
         p = r // n_starts
         stop[p] = min(stop[p], bad_time[r] - _NODE_ATOL)
         earliest = min(earliest, stop[p])
 
     def finish_row(r, k, applied):
-        times, flags, _, marks = tables[r]
-        a = first[r]
-        rv = _CadlagSegView(states[a:first[r + 1]], times, tau)
-        i = node[k, r] - a + 1
+        i = int(node[k, r]) + 1
         # the block stepped the row by the grid spacing; redo the sub-step to
         # the row's own next node, which may be a nearer epoch
-        rv.states[i] = rv.states[i - 1] + applied * float(times[i] - times[i - 1])
+        states[i] = states[i - 1] + applied * float(times[i] - times[i - 1])
         if flags[i]:
-            _jump_at(model, rv, i, times, marks)
-        while not _out_of_guard(rv.states[i], guard):
-            if i == node[k + 1, r] - a:
+            _jump_at(model, view, i, times, marks)
+        while not _out_of_guard(states[i], guard):
+            if i == node[k + 1, r]:
                 return
-            _jump_step(model, rv, i, times, flags, marks)
+            _jump_step(model, view, i, times, flags, marks)
             i += 1
         diverge(r, i)
 
@@ -456,26 +424,22 @@ def _jump_block(model, cfg, n_steps, hist, tables, p0, observer, outcome):
             observer.see_path(p0 + p, k, *[states[lo_k[q]:hi_k[q]]
                                             for q in range(r, r + n_starts)])
 
-    now = states[node[0]]  # each row's state at its grid node
     for k in range(n_steps):
         cur = node[k]
         t = k * h
-        view.head, view.now, view.t, view.k = cur, now, t, k
+        view.head = cur
         applied = model.drift(t, view) - model.jump_compensator(t, view)
-        now = now + applied * ((k + 1) * h - t)
-        states[cur + 1] = now
-        bad = _out_of_guard(now, guard)
+        new = states[cur] + applied * ((k + 1) * h - t)
+        states[cur + 1] = new
+        bad = _out_of_guard(new, guard)
         if k in split_steps:
             split_rows = np.flatnonzero(split[k])
             bad[split_rows] = False
             for r in split_rows.tolist():
                 if not dead[r]:
                     finish_row(r, k, applied[r])
-            now[split_rows] = states[node[k + 1, split_rows]]
-        if bad.any():
-            for r in np.flatnonzero(bad & ~dead).tolist():
-                diverge(r, cur[r] + 1 - first[r])
-                now[r] = np.nan
+        for r in np.flatnonzero(bad & ~dead).tolist():
+            diverge(r, cur[r] + 1)
         observe(k)
     observe(n_steps)
 

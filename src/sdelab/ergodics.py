@@ -23,8 +23,8 @@ import numpy as np
 from scipy.special import stdtrit
 
 from .errors import DomainError, EstimationError
-from .engine import SimConfig, simulate, steps_per_window, _CadlagSegView, _node_index
-from .models import ModelClass
+from .engine import SimConfig, simulate, steps_per_window, _CadlagView, _node_index
+from .models import ModelClass, delay_atoms
 from .noise import NoiseStream, PATH_BLOCK_PI_A, PATH_BLOCK_PI_B
 from .paths import Segment, SegmentKind
 from . import ensemble as _ens
@@ -584,7 +584,7 @@ def kurtz_diagnostic(model, xi, cfg: SimConfig, eps_list, *,
             outcome.diverged[p] = True
             continue
         times, states = traj.times, traj.states
-        view = _CadlagSegView(states, times, tau)
+        view = _CadlagView(states, times, [0, times.size], tau, delay_atoms(model.delay))
         lo_t = eval_t[0] - tau - max(eps)
         i_lo = int(_node_index(times, lo_t, left=True))
         g = np.zeros(times.size)

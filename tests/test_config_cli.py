@@ -291,6 +291,18 @@ class TestLoadConfig:
         same = cfg.with_overrides()
         assert same.sim == cfg.sim and same.out_dir == cfg.out_dir
 
+    def test_sim_parse_errors_name_the_section_once(self, tmp_path):
+        # optional and required [sim] keys report a parse failure alike
+        for key, text in (("threads", "seed = 7\nthreads = k"), ("seed", "seed = y")):
+            bad = SIMULATE_EQUILIBRIUM.replace("seed = 7", text)
+            with pytest.raises(ConfigError) as err:
+                load_config(write_config(tmp_path, bad, name=f"{key}.ini"))
+            assert str(err.value) == f"[sim] key '{key}': cannot parse {text[-1]!r}"
+        # a value SimConfig refuses still reads as invalid parameters
+        bad = SIMULATE_EQUILIBRIUM.replace("seed = 7", "seed = 7\nthreads = 0")
+        with pytest.raises(ConfigError, match=r"^\[sim\] invalid parameters: threads"):
+            load_config(write_config(tmp_path, bad, name="zero.ini"))
+
     def test_malformed_text_is_a_config_error(self, tmp_path):
         path = tmp_path / "broken.ini"
         path.write_text("value without any section = 3\n")

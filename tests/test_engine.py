@@ -28,7 +28,13 @@ from sdelab import (
     simulate_coupled,
 )
 from sdelab import engine
-from sdelab.engine import _CadlagSegView, _UniformSegView, _jump_nodes, steps_per_window
+from sdelab.engine import (
+    _NODE_ATOL,
+    _CadlagView,
+    _UniformSegView,
+    _jump_nodes,
+    steps_per_window,
+)
 
 from helpers import retarded_model
 
@@ -610,16 +616,46 @@ def test_extract_segment_left_at_a_jump():
 def test_cadlag_view_reads_the_node_at_the_lag(h, lag):
     tau = 1.0
     k_hist = steps_per_window(tau, h, "tau")
-    back = steps_per_window(lag, h, "lag")
-    times = np.concatenate([np.linspace(-tau, 0.0, k_hist + 1),
-                            h * np.arange(1, steps_per_window(5.0, h, "horizon") + 1)])
-    # distinct states, largest at the oldest node, so a read names its node
+    grid = np.concatenate([np.linspace(-tau, 0.0, k_hist + 1),
+                           h * np.arange(1, steps_per_window(3.0, h, "horizon") + 1)])
+    # two rows end to end; the second holds an epoch e, an epoch exactly at
+    # e - lag and one within _NODE_ATOL after that
+    e = 2.0 + 0.37 * h
+    s = e - lag
+    row = np.sort(np.concatenate([grid, [s, s + 0.5 * _NODE_ATOL, e]]))
+    times = np.concatenate([grid, row])
+    first = [0, grid.size, times.size]
+    # distinct states, largest at the oldest node of each row, so a read names its node
     states = (times.size - np.arange(times.size, dtype=float))[:, None]
-    view = _CadlagSegView(states, times, tau)
-    for head in range(k_hist, times.size):
-        view.head = head
-        assert view.eval(-lag)[0] == states[head - back, 0]
-        assert view.sup_norm() == states[head - k_hist, 0]
+    fixed = _CadlagView(states, times, first, tau, (-lag,))
+    searched = _CadlagView(states, times, first, tau, ())
+    # fixed reads at -lag; any other offset goes through the search
+    reads = ((fixed, -lag), (searched, -lag), (fixed, -lag - 0.25 * _NODE_ATOL))
+
+    # per head from time 0 on: the last node of its row within _NODE_ATOL
+    # of the lag and of the window start
+    want = {}
+    for a, b in ((0, grid.size), (grid.size, times.size)):
+        for j in range(a + k_hist, b):
+            past = times[a:j + 1]
+            want[j] = (a + np.flatnonzero(past <= past[-1] - lag + _NODE_ATOL)[-1],
+                       a + np.flatnonzero(past <= past[-1] - tau + _NODE_ATOL)[-1])
+    back = steps_per_window(lag, h, "lag")
+    assert all(want[j] == (j - back, j - k_hist) for j in range(k_hist, grid.size))
+    j_e = grid.size + int(np.flatnonzero(row == e)[0])
+    assert want[j_e][0] == grid.size + int(np.flatnonzero(row == s + 0.5 * _NODE_ATOL)[0])
+
+    for j, (at_lag, oldest) in want.items():
+        for view, theta in reads:
+            view.head = j
+            assert view.eval(theta)[0] == states[at_lag, 0]
+        assert fixed.sup_norm() == states[oldest, 0]
+    # one head per row reads (rows, n): the nodes each head reads alone
+    for pair in zip(range(k_hist, grid.size), range(j_e - 5, times.size)):
+        for view, theta in reads:
+            view.head = np.array(pair)
+            assert np.array_equal(view.eval(theta), states[[want[j][0] for j in pair]])
+            assert np.array_equal(view.zero(), states[list(pair)])
 
 
 def _jump_path():
