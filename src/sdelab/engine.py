@@ -236,14 +236,16 @@ class _CadlagView:
                 # int32 halves the table; 2**31 nodes would take 32 GiB of times and states
                 read = self.reads[theta] = np.empty(times.size, np.int32)
                 for a, b in zip(first[:-1], first[1:]):
-                    row = times[a:b]
-                    read[a:b] = a + np.minimum(_node_index(row, row + theta), np.arange(b - a))
+                    read[a:b] = np.minimum(self._search(a, b, times[a:b] + theta), np.arange(a, b))
+
+    def _search(self, a, b, t):
+        """The flat :func:`_node_index` node(s) of time(s) t in row a:b, uncapped."""
+        return a + _node_index(self.times[a:b], t)
 
     def _read(self, j, theta):
         """The flat node read at offset theta from the single head j."""
-        a = self.first[bisect.bisect_right(self.first, j) - 1]
-        past = self.times[a:j + 1]
-        return a + _node_index(past, past[-1] + theta)
+        r = bisect.bisect_right(self.first, j)
+        return min(self._search(self.first[r - 1], self.first[r], self.times[j] + theta), j)
 
     def zero(self):
         return self.states[self.head]
@@ -256,9 +258,8 @@ class _CadlagView:
             return self.states[read[self.head]]
         if np.ndim(self.head) == 0:
             return self.states[self._read(self.head, theta)]
-        # one head per row: search each row whole, then cap at its head
         first, x = self.first, (self.times[self.head] + theta).tolist()
-        i = [a + _node_index(self.times[a:b], t) for a, b, t in zip(first, first[1:], x)]
+        i = [self._search(a, b, t) for a, b, t in zip(first, first[1:], x)]
         return self.states[np.minimum(i, self.head)]
 
     def sup_norm(self):

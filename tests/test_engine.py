@@ -616,13 +616,18 @@ def test_extract_segment_left_at_a_jump():
 def test_cadlag_view_reads_the_node_at_the_lag(h, lag):
     tau = 1.0
     k_hist = steps_per_window(tau, h, "tau")
-    grid = np.concatenate([np.linspace(-tau, 0.0, k_hist + 1),
-                           h * np.arange(1, steps_per_window(3.0, h, "horizon") + 1)])
-    # two rows end to end; the second holds an epoch e, an epoch exactly at
-    # e - lag and one within _NODE_ATOL after that
+
+    def uniform(horizon):
+        return np.concatenate([np.linspace(-tau, 0.0, k_hist + 1),
+                               h * np.arange(1, steps_per_window(horizon, h, "horizon") + 1)])
+
+    # two rows end to end: the uniform grid to t = 5, then a shorter grid
+    # holding an epoch e, an epoch exactly at e - lag and one within
+    # _NODE_ATOL after that
     e = 2.0 + 0.37 * h
     s = e - lag
-    row = np.sort(np.concatenate([grid, [s, s + 0.5 * _NODE_ATOL, e]]))
+    grid = uniform(5.0)
+    row = np.sort(np.concatenate([uniform(3.0), [s, s + 0.5 * _NODE_ATOL, e]]))
     times = np.concatenate([grid, row])
     first = [0, grid.size, times.size]
     # distinct states, largest at the oldest node of each row, so a read names its node
