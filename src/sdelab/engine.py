@@ -218,8 +218,8 @@ class _CadlagView:
     or one node per row, whose reads return ``(rows, n)``.  A read at offset
     theta takes the :func:`_node_index` node of the head's time plus theta
     in the head's row, capped at the head: for each fixed offset of
-    ``thetas`` (the model's delay atoms) found once per node here, for any
-    other offset at read time.
+    ``thetas`` (the model's delay atoms) and for ``-tau`` (the start of the
+    window) found once per node here, for any other offset at read time.
     """
 
     __slots__ = ("states", "times", "first", "tau", "reads", "head")
@@ -231,8 +231,8 @@ class _CadlagView:
         self.tau = tau
         self.head = 0
         self.reads = {}
-        for theta in thetas:
-            if theta != 0.0:
+        for theta in (*thetas, -tau):
+            if theta != 0.0 and theta not in self.reads:
                 # int32 halves the table; 2**31 nodes would take 32 GiB of times and states
                 read = self.reads[theta] = np.empty(times.size, np.int32)
                 for a, b in zip(first[:-1], first[1:]):
@@ -264,7 +264,7 @@ class _CadlagView:
 
     def sup_norm(self):
         """Sup of the window ending at a single head (hand-rolled models)."""
-        win = self.states[self._read(self.head, -self.tau):self.head + 1]
+        win = self.states[self.reads[-self.tau][self.head]:self.head + 1]
         if win.shape[1] == 1:
             return float(np.abs(win).max())
         return float(np.sqrt((win ** 2).sum(axis=1)).max())
@@ -283,20 +283,19 @@ def _out_of_guard(x, guard):
     return ~(np.abs(x).max(axis=-1) < guard)
 
 
-def _solve_newest(newest, y, g_of, done, cfg: SimConfig, t: float) -> int:
+def _solve_newest(newest, y, g_of, cfg: SimConfig, t: float) -> int:
     """Solve ``x = y + G(x)`` for the newest point of each row of paths.
 
     ``newest`` (rows x n, or n for one path) holds the starting iterate and
     receives the solution in place; ``g_of()`` evaluates G on every row with
-    the current newest points.  Rows flagged in ``done`` (rows, or 0-d for
-    one path; diverged paths) are left as they are.  Each other row takes
+    the current newest points.  Every row is a live path: each takes
     iterates until one moved by at most ``cfg.fixed_point_tol`` and keeps
     that iterate.  A row whose residual turns NaN (its iterate left the
     floats) stops too, keeping a non-finite iterate for the guard to flag.
     Returns the number of sweeps; raises :class:`FixedPointError` after
     ``cfg.fixed_point_max_iter`` sweeps with a row still moving.
     """
-    moving = ~done[..., None]
+    moving = np.ones(newest.shape[:-1] + (1,), dtype=bool)
     it = 0
     while np.count_nonzero(moving):
         if it == cfg.fixed_point_max_iter:
@@ -312,7 +311,7 @@ def _solve_newest(newest, y, g_of, done, cfg: SimConfig, t: float) -> int:
     return it
 
 
-def _euler_step(model, view, y, dw, t, h, done, cfg: SimConfig):
+def _euler_step(model, view, y, dw, t, h, cfg: SimConfig):
     """One Euler-Maruyama step from ``t`` for every row of ``view``.
 
     The model's drift and diffusion are called on the view at its head; the
@@ -320,8 +319,9 @@ def _euler_step(model, view, y, dw, t, h, done, cfg: SimConfig):
     holds each row's Brownian increments, already scaled by ``sqrt(h)``.
     A neutral model (``y`` not None) adds the increment to its transformed
     state ``y`` in place and recovers the new point with
-    :func:`_solve_newest`, skipping the rows in ``done``.  Returns the drift
-    and the number of fixed-point sweeps (0 for the retarded class).
+    :func:`_solve_newest`.  Callers step live paths only: a path leaves the
+    view at its first step out of the guard.  Returns the drift and the
+    number of fixed-point sweeps (0 for the retarded class).
     """
     head = view.head
     b = model.drift(t, view)
@@ -334,7 +334,7 @@ def _euler_step(model, view, y, dw, t, h, done, cfg: SimConfig):
     y += incr
     newest = states[..., head + 1, :]
     newest[...] = states[..., head, :]
-    return b, _solve_newest(newest, y, lambda: model.neutral_map(view), done, cfg, t + h)
+    return b, _solve_newest(newest, y, lambda: model.neutral_map(view), cfg, t + h)
 
 
 # ---------------------------------------------------------------------------
@@ -427,7 +427,6 @@ def _simulate_continuous(model, xi, cfg, stream) -> Trajectory:
     view = _UniformSegView(states, h, tau, k_hist)
     neutral = model.model_class is ModelClass.NEUTRAL
     y = view.zero() - model.neutral_map(view) if neutral else None
-    not_done = np.zeros((), dtype=bool)
     guard = cfg.divergence_guard
 
     max_iters = 0
@@ -436,7 +435,7 @@ def _simulate_continuous(model, xi, cfg, stream) -> Trajectory:
     diverged_at = None
     for k in range(n_steps):
         head = k_hist + k
-        b, it = _euler_step(model, view, y, dw[k], k * h, h, not_done, cfg)
+        b, it = _euler_step(model, view, y, dw[k], k * h, h, cfg)
         dint[head + 1] = dint[head] + b * h
         if it > max_iters:
             max_iters = it

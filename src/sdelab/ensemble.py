@@ -21,19 +21,24 @@ all paths; jump paths of both routes through the one
 :class:`~sdelab.engine._CadlagView`, which finds its fixed-offset reads up front.
 Both routes also share one guard predicate, one newest-point solver for the
 neutral class, and one divergence rule -- a path (or coupled pair) is
-diverged from its first step out of the guard, and observers never see it
-at or after that step.  The batch kernels write NaN into the rows of
-diverged paths; the per-path route stops feeding them.
-:func:`refuse_divergence` is the one rule by which estimators refuse an
-ensemble in which more than 1% of the paths diverged.
+diverged from its first step out of the guard, and no runner shows it to an
+observer at or after that step.  The continuous kernel drops a diverged
+path's rows from its block; the jump kernel and the per-path route stop
+showing it.  :func:`refuse_divergence` is the one rule by which estimators
+refuse an ensemble in which more than 1% of the paths diverged.
 
 Estimators talk to the runners through observers: an observer is notified
 with the trailing ``tau``-window of the state after every step and reduces it
 immediately (record at chosen steps, accumulate time averages), so long
-horizons never materialize full ensembles in memory.  Coupled runs pass two
-windows, one per initial segment.  Jump windows differ in length from path
-to path, so the jump kernel shows each path its own window through
-``see_path``, as the per-path route does.
+horizons never materialize full ensembles in memory.  Observers have one
+entry point, ``see_path(paths, step, *wins)``: ``paths`` is one path (an
+int) with ``(W, n)`` windows, or a block of live paths (a slice or an index
+array) with ``(rows, W, n)`` windows.  Coupled runs pass two windows, one
+per initial segment.  The per-path route calls it once per path and step;
+the kernels once per step and block, a one-row jump block with its path
+as an int.  Jump windows differ in length from path to path, so the jump
+kernel left-pads each to the block's widest by repeating its oldest node,
+which leaves sup and newest-point reductions unchanged.
 """
 
 from __future__ import annotations
@@ -92,8 +97,10 @@ class WindowRecorder:
 
     ``fns`` maps a name to a callable taking the trailing window (shape
     ``(..., W, n)``, or two such windows for coupled runs) and returning a
-    scalar per path.  Entries at and after a path's first diverged step are
-    NaN on both routes.
+    scalar per path.  A runner calls ``see_path(paths, step, *wins)`` with
+    one path (an int) and ``(W, n)`` windows, or with a block of paths (a
+    slice or an index array) and ``(rows, W, n)`` windows.  Entries at and
+    after a path's first diverged step stay NaN: no runner shows them.
     """
 
     def __init__(self, record_steps, fns, n_paths):
@@ -103,19 +110,12 @@ class WindowRecorder:
         self.out = {name: np.full((n_paths, self.record_steps.size), np.nan)
                     for name in self.fns}
 
-    def see_batch(self, step, *wins):
+    def see_path(self, paths, step, *wins):
         col = self._col.get(step)
         if col is None:
             return
         for name, fn in self.fns.items():
-            self.out[name][:, col] = fn(*wins)
-
-    def see_path(self, path, step, *wins):
-        col = self._col.get(step)
-        if col is None:
-            return
-        for name, fn in self.fns.items():
-            self.out[name][path, col] = fn(*wins)
+            self.out[name][paths, col] = fn(*wins)
 
 
 class IntegralAccumulator:
@@ -124,6 +124,8 @@ class IntegralAccumulator:
     Sums are kept per path and per contiguous time block (``n_blocks`` blocks
     of the strided record sequence), which is enough to batch-mean either
     over ensemble members or over time afterwards without storing series.
+    ``see_path`` takes ``paths`` and windows as :class:`WindowRecorder`
+    does; runners show live paths only, so every value shown is counted.
     """
 
     def __init__(self, burn_steps, stride, fn, n_paths, n_records, n_blocks=16):
@@ -137,36 +139,15 @@ class IntegralAccumulator:
         self.block_counts = np.zeros((n_paths, n_blocks), dtype=int)
         self.max_abs = np.zeros(n_paths)
 
-    def _record_index(self, step):
+    def see_path(self, paths, step, *wins):
         if step <= self.burn_steps or (step - self.burn_steps) % self.stride:
-            return None
-        return (step - self.burn_steps) // self.stride - 1
-
-    def _block(self, rec):
-        return min(rec // self.block_len, self.n_blocks - 1)
-
-    def see_batch(self, step, *wins):
-        rec = self._record_index(step)
-        if rec is None:
             return
-        # a diverged path's newest point is NaN from its first bad step on;
-        # like the per-path route, record nothing for it from there
-        live = ~np.isnan(wins[0][:, -1, 0])
-        v = self.fn(*wins)
-        blk = self._block(rec)
-        self.block_sums[:, blk] += np.where(live, v, 0.0)
-        self.block_counts[:, blk] += live
-        np.maximum(self.max_abs, np.where(live, np.abs(v), 0.0), out=self.max_abs)
-
-    def see_path(self, path, step, *wins):
-        rec = self._record_index(step)
-        if rec is None:
-            return
-        v = float(self.fn(*wins))
-        blk = self._block(rec)
-        self.block_sums[path, blk] += v
-        self.block_counts[path, blk] += 1
-        self.max_abs[path] = max(self.max_abs[path], abs(v))
+        v = np.asarray(self.fn(*wins))[()]  # one path's 0-d value as a fast scalar
+        blk = min(((step - self.burn_steps) // self.stride - 1) // self.block_len,
+                  self.n_blocks - 1)
+        self.block_sums[paths, blk] += v
+        self.block_counts[paths, blk] += 1
+        self.max_abs[paths] = np.maximum(self.max_abs[paths], abs(v))
 
     @property
     def sums(self):
@@ -252,20 +233,21 @@ def _run_batch(model, xi, cfg, n_paths, observer, path_offset, eta):
     guard = cfg.divergence_guard
 
     outcome = EnsembleOutcome(n_paths)
-    diverged = outcome.diverged
+    live = np.arange(n_paths)  # the path of each row
+    rows = slice(0, n_paths)  # live, as a slice until a path diverges
 
     def wins():
         return [buf[:, head - k_hist:head + 1] for buf in bufs]
 
     ys = [view.zero() - model.neutral_map(view) if neutral else None for view in views]
 
-    observer.see_batch(0, *wins())
+    observer.see_path(rows, 0, *wins())
 
     streams = [NoiseStream(cfg.master_seed, path_offset + p) for p in range(n_paths)]
 
     for k0 in range(0, n_steps, chunk):
         span = min(chunk, n_steps - k0)
-        dw = np.empty((n_paths, span, m))
+        dw = np.empty((live.size, span, m))
         for p, st in enumerate(streams):
             dw[p] = st.gaussian_block(k0, span, m)
         dw *= math.sqrt(h)
@@ -279,22 +261,29 @@ def _run_batch(model, xi, cfg, n_paths, observer, path_offset, eta):
 
             for view, y in zip(views, ys):
                 view.head = head
-                _, it = _euler_step(model, view, y, dw[:, j], k * h, h, diverged, cfg)
+                _, it = _euler_step(model, view, y, dw[:, j], k * h, h, cfg)
                 outcome.max_fixed_point_iters = max(outcome.max_fixed_point_iters, it)
 
             bad = _out_of_guard(bufs[0][:, head + 1], guard)
             for buf in bufs[1:]:
                 bad |= _out_of_guard(buf[:, head + 1], guard)
-            new_bad = bad & ~diverged
-            if new_bad.any():
-                outcome.first_bad_time[new_bad] = (k + 1) * h
-                diverged |= new_bad
-            if diverged.any():
-                for buf in bufs:
-                    buf[diverged, head + 1] = np.nan
+            if bad.any():
+                # a diverged path leaves the block: its rows, noise and stream
+                outcome.first_bad_time[live[bad]] = (k + 1) * h
+                outcome.diverged[live[bad]] = True
+                keep = ~bad
+                live = rows = live[keep]
+                if not live.size:
+                    return outcome
+                bufs = [buf[keep] for buf in bufs]
+                for view, buf in zip(views, bufs):
+                    view.states = buf
+                ys = [None if y is None else y[keep] for y in ys]
+                dw = dw[keep]
+                streams = [st for st, ok in zip(streams, keep.tolist()) if ok]
 
             head += 1
-            observer.see_batch(k + 1, *wins())
+            observer.see_path(rows, k + 1, *wins())
 
     return outcome
 
@@ -350,8 +339,10 @@ def _jump_block(model, cfg, n_steps, hist, tables, p0, observer, outcome):
     row's grid node.  A row whose step holds epoch nodes takes its first
     sub-step with the block and finishes the step alone with
     :func:`engine._jump_step` on a single head, as
-    :func:`engine._simulate_jump` does.  Observers see each row's exact
-    window one step late, once a divergence within the next step is known.
+    :func:`engine._simulate_jump` does.  Observers see the block's live
+    paths one step late, once a divergence within the next step is known,
+    in one call per step: a one-row block its exact window, a wider block
+    every live row's window left-padded with its oldest node to the widest.
     """
     h, tau, guard = cfg.step, model.tau, cfg.divergence_guard
     n_starts = len(hist)
@@ -366,28 +357,29 @@ def _jump_block(model, cfg, n_steps, hist, tables, p0, observer, outcome):
         states[a:a + tab[2] + 1] = hist[r % n_starts]
     tables.clear()
     view = _CadlagView(states, times, first, tau, delay_atoms(model.delay))
+    win_start = view.reads[-tau]
 
-    # per grid node and row, flat nodes by the _node_index rule: the grid
-    # node (k * h exactly, as the node tables hold h * k) and the ends of
-    # its observer window (t - tau through t).  A step that passes an epoch
-    # node of its row, or ends on one, is split
+    # per grid node and row, flat nodes: the grid node (k * h exactly, as the
+    # node tables hold h * k), whose read at -tau starts its observer window,
+    # and the end of that window by the _node_index rule.  A step that passes
+    # an epoch node of its row, or ends on one, is split
     grid = np.arange(n_steps + 1) * h
-    node, lo, hi = nodes = np.empty((3, n_steps + 1, n_rows), np.intp)
+    node, hi = nodes = np.empty((2, n_steps + 1, n_rows), np.intp)
     split = np.empty((n_steps, n_rows), dtype=bool)
     for r, (a, b) in enumerate(zip(first, first[1:])):
         row = times[a:b]
         node[:, r] = at = np.searchsorted(row, grid)
         split[:, r] = (np.diff(at) > 1) | flags[a:b][at[1:]]
-        lo[:, r] = _node_index(row, grid - tau)
         hi[:, r] = _node_index(row, grid) + 1
     nodes += first[:-1]
     split_steps = set(np.flatnonzero(split.any(axis=1)).tolist())
 
     dead = np.zeros(n_rows, dtype=bool)
     bad_time = np.full(n_rows, np.nan)
-    stop = [math.inf] * (n_rows // n_starts)  # observe a path while k * h < stop
+    stop = np.full(n_rows // n_starts, math.inf)  # observe a path while k * h < stop
     earliest = math.inf
-    live = list(range(n_rows // n_starts))
+    live = np.arange(n_rows // n_starts)
+    paths, rows = p0 + live, np.arange(n_rows)
 
     def diverge(r, i):
         """Row r's first bad node is flat node i."""
@@ -414,15 +406,21 @@ def _jump_block(model, cfg, n_steps, hist, tables, p0, observer, outcome):
         diverge(r, i)
 
     def observe(k):
-        nonlocal live
-        t = k * h
-        if t >= earliest:
-            live = [p for p in live if t < stop[p]]
-        lo_k, hi_k = lo[k].tolist(), hi[k].tolist()
-        for p in live:
-            r = p * n_starts
-            observer.see_path(p0 + p, k, *[states[lo_k[q]:hi_k[q]]
-                                            for q in range(r, r + n_starts)])
+        nonlocal earliest, live, paths, rows
+        if k * h >= earliest:
+            live = live[k * h < stop[live]]
+            earliest = stop[live].min(initial=math.inf)
+            paths = p0 + live
+            rows = (n_starts * live[:, None] + np.arange(n_starts)).ravel()
+        if not live.size:
+            return
+        if n_rows == 1:
+            observer.see_path(p0, k, states[win_start[node[k, 0]]:hi[k, 0]])
+            return
+        end, start = hi[k, rows], win_start[node[k, rows]]
+        at = end[:, None] + np.arange(-int((end - start).max()), 0)
+        wins = states[np.maximum(at, start[:, None])]
+        observer.see_path(paths, k, *[wins[q::n_starts] for q in range(n_starts)])
 
     for k in range(n_steps):
         cur = node[k]

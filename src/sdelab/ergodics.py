@@ -27,6 +27,7 @@ from .engine import SimConfig, simulate, steps_per_window, _CadlagView, _node_in
 from .models import ModelClass, delay_atoms
 from .noise import NoiseStream, PATH_BLOCK_PI_A, PATH_BLOCK_PI_B
 from .paths import Segment, SegmentKind
+from .rates import _log_linear_fit
 from . import ensemble as _ens
 
 __all__ = [
@@ -59,8 +60,12 @@ class Functional:
     ``map`` evaluates one :class:`~sdelab.paths.Segment`.  ``window_fn``,
     when provided, is the vectorized equivalent acting on window value
     arrays of shape ``(..., W, n)`` (reducing the last two axes); estimators
-    prefer it and fall back to wrapping ``map`` otherwise.  ``bound`` is a
-    declared sup bound, asserted at runtime on every evaluated segment.
+    prefer it and fall back to wrapping ``map`` otherwise.  The jump class
+    needs ``window_fn``: its windows are node values, left-padded by
+    repeating the oldest node, so a jump ``window_fn`` must be invariant
+    under repeating the oldest point, as sup and newest-point reductions
+    are.  ``bound`` is a declared sup bound, asserted at runtime on every
+    evaluated segment.
     """
 
     name: str
@@ -120,25 +125,22 @@ def standard_battery() -> tuple[Functional, ...]:
             clipped_sup_norm(10.0))
 
 
-def _as_window_fn(func: Functional, tau: float, hist_steps: int):
+def _as_window_fn(func: Functional, model, hist_steps: int):
     if func.window_fn is not None:
         return func.window_fn
-    grid = np.linspace(-tau, 0.0, hist_steps + 1)
+    if model.model_class is ModelClass.JUMP:
+        raise EstimationError(
+            f"functional {func.name!r} has no window_fn and its map "
+            "cannot be applied to non-uniform jump windows; provide "
+            "window_fn for jump-class estimation")
+    grid = np.linspace(-model.tau, 0.0, hist_steps + 1)
 
     def fn(win):
         win = np.asarray(win)
         if win.ndim == 2:
-            if win.shape[0] != hist_steps + 1:
-                raise EstimationError(
-                    f"functional {func.name!r} has no window_fn and its map "
-                    "cannot be applied to non-uniform jump windows; provide "
-                    "window_fn for jump-class estimation")
             return func.map(Segment(SegmentKind.CONTINUOUS_LINEAR, grid, win))
-        # rows of diverged paths hold NaN, which a Segment refuses
-        out = np.full(win.shape[0], np.nan)
-        for i in np.flatnonzero(np.isfinite(win).all(axis=(1, 2))):
-            out[i] = func.map(Segment(SegmentKind.CONTINUOUS_LINEAR, grid, win[i]))
-        return out
+        return np.array([func.map(Segment(SegmentKind.CONTINUOUS_LINEAR, grid, w))
+                         for w in win])
 
     return fn
 
@@ -187,7 +189,7 @@ def time_average(model, xi, func: Functional, cfg: SimConfig, burn_in: float,
     if n_records < 2:
         raise DomainError("fewer than two evaluation times past burn_in")
 
-    fn = _as_window_fn(func, model.tau, hist_steps)
+    fn = _as_window_fn(func, model, hist_steps)
     acc = _ens.IntegralAccumulator(burn_steps, stride, fn, cfg.ensemble, n_records)
     outcome = _ens.run_ensemble(model, xi, cfg, cfg.ensemble, acc,
                                 path_offset=path_offset)
@@ -294,7 +296,7 @@ def mixing_check(model, xi, eta, func: Functional, cfg: SimConfig, *,
         eval_times = np.linspace(tau, horizon, 25)
     record_steps = _snap_times(eval_times, h, n_steps, "evaluation")
 
-    fn = _as_window_fn(func, tau, hist_steps)
+    fn = _as_window_fn(func, model, hist_steps)
     rec = _ens.WindowRecorder(record_steps, {"f": fn}, cfg.ensemble)
     outcome = _ens.run_ensemble(model, xi, cfg, cfg.ensemble, rec)
     _ens.refuse_divergence(outcome, "kernel ensemble")
@@ -328,12 +330,8 @@ def mixing_check(model, xi, eta, func: Functional, cfg: SimConfig, *,
     fit_mask = (times >= tau - 1e-12) & (gaps > floor) & (gaps > 0.0)
     note = ""
     if fit_mask.sum() >= 3:
-        ly = np.log(gaps[fit_mask])
-        slope, intercept = np.polyfit(times[fit_mask], ly, 1)
-        resid = ly - (slope * times[fit_mask] + intercept)
-        ss_tot = float(((ly - ly.mean()) ** 2).sum())
-        r2 = 1.0 - float(resid @ resid) / ss_tot if ss_tot > 1e-300 else 1.0
-        rate = -float(slope)
+        slope, _, r2 = _log_linear_fit(times[fit_mask], gaps[fit_mask])
+        rate = -slope
         n_fit = int(fit_mask.sum())
     else:
         rate, r2, n_fit = math.nan, math.nan, int(fit_mask.sum())
@@ -403,14 +401,14 @@ def moment_bound_check(model, xi, cfg: SimConfig, kappa_exp: float = 0.1, *,
                                "evaluation")
     p = 2.0 + kappa_exp
 
-    def fn(w):
-        sup = np.sqrt((w * w).sum(axis=-1)).max(axis=-1)
-        return sup ** p
+    def sup(w):
+        return np.sqrt((w * w).sum(axis=-1)).max(axis=-1)
 
-    rec = _ens.WindowRecorder(record_steps, {"m": fn}, cfg.ensemble)
+    rec = _ens.WindowRecorder(record_steps, {"sup": sup}, cfg.ensemble)
     outcome = _ens.run_ensemble(model, xi, cfg, cfg.ensemble, rec)
     _ens.refuse_divergence(outcome, "moment estimation")
-    vals = rec.out["m"][~outcome.diverged]
+    # one array power over the whole table, so every route rounds alike
+    vals = rec.out["sup"][~outcome.diverged] ** p
     vals = vals[np.isfinite(vals).all(axis=1)]
     if vals.shape[0] < 3:
         raise EstimationError("fewer than three usable paths for the moment check")

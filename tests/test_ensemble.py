@@ -187,13 +187,30 @@ def test_hand_rolled_jump_models_take_the_per_path_route(monkeypatch):
 # ---------------------------------------------------------------------------
 
 class WindowLog:
-    """Keep a copy of every window a runner shows, by (path, step)."""
+    """Keep a copy of every window a runner shows, by (path, step), and the
+    step and window shapes of every call.  A block call is expanded into its
+    paths' windows."""
 
     def __init__(self):
         self.seen = {}
+        self.calls = []
 
-    def see_path(self, path, step, *wins):
-        self.seen[path, step] = [w.copy() for w in wins]
+    def see_path(self, paths, step, *wins):
+        self.calls.append((step, [w.shape for w in wins]))
+        if isinstance(paths, int):
+            self.seen[paths, step] = [w.copy() for w in wins]
+            return
+        ids = np.arange(paths.stop)[paths] if isinstance(paths, slice) else paths
+        for i, p in enumerate(ids.tolist()):
+            self.seen[p, step] = [w[i].copy() for w in wins]
+
+
+def assert_padded(got, want):
+    """``got`` is ``want`` exactly, left-padded by repeating its oldest node."""
+    pad = got.shape[0] - want.shape[0]
+    assert pad >= 0 and got.shape[1:] == want.shape[1:]
+    assert np.array_equal(got[pad:], want)  # bitwise
+    assert np.array_equal(got[:pad], np.broadcast_to(want[0], got[:pad].shape))
 
 
 def simulated_windows(model, starts, cfg, n_paths, path_offset):
@@ -227,11 +244,11 @@ def assert_jump_kernel_matches_simulate(model, starts, cfg, n_paths, path_offset
         got = log.seen[key]
         assert len(got) == len(wins)
         for g, w in zip(got, wins):
-            assert g.shape == w.shape and np.array_equal(g, w)  # bitwise
+            assert_padded(g, w)
     assert np.array_equal(out.first_bad_time, first_bad, equal_nan=True)
     assert np.array_equal(out.diverged, ~np.isnan(first_bad))
     assert out.max_fixed_point_iters == 0
-    return out
+    return out, log
 
 
 JUMP_STARTS = {"constant": [JUMP_ONES], "history-jumps": [XI_JUMPS]}
@@ -293,12 +310,12 @@ def test_jump_kernel_stops_a_path_at_its_first_bad_node():
     model = jump_linear(0.5, 3.0, 0.3, 5.0, UniformSigns(), PointConstant(1.0), 1.0,
                         saturating=True)
     cfg = SimConfig(step=0.05, horizon=6.0, master_seed=2, divergence_guard=50.0)
-    out = assert_jump_kernel_matches_simulate(model, [JUMP_ONES], cfg, 6)
+    out, _ = assert_jump_kernel_matches_simulate(model, [JUMP_ONES], cfg, 6)
     assert out.n_diverged == 6 and np.all(out.first_bad_time < 6.0)
     # in each pair the eta row, started at 3, crosses first; some pairs
     # cross at an epoch node, between grid nodes
     eta = Segment.constant(np.array([3.0]), 1.0, kind=STEP)
-    out = assert_jump_kernel_matches_simulate(model, [XI_JUMPS, eta], cfg, 6)
+    out, _ = assert_jump_kernel_matches_simulate(model, [XI_JUMPS, eta], cfg, 6)
     assert out.n_diverged == 6 and np.all(out.first_bad_time < 6.0)
     assert np.any(np.round(out.first_bad_time / 0.05) * 0.05 != out.first_bad_time)
     # the estimators' observers stop there too, on both routes
@@ -316,6 +333,17 @@ def test_jump_kernel_stops_a_path_at_its_first_bad_node():
             assert np.array_equal(kept[0], kept[1], equal_nan=True)
 
 
+def test_jump_kernel_shows_a_one_row_block_its_exact_window():
+    # a block of one uncoupled path passes the path as an int and its window
+    # unpadded, as the per-path route does
+    model = jump_linear(3.0, 1.0, 0.3, 5.0, UniformSigns(), PointConstant(0.73), 1.0)
+    cfg = SimConfig(step=0.05, horizon=3.0, master_seed=7)
+    _, log = assert_jump_kernel_matches_simulate(model, [XI_JUMPS], cfg, 1, path_offset=3)
+    seen, _ = simulated_windows(model, [XI_JUMPS], cfg, 1, 3)
+    assert [step for step, _ in log.calls] == list(range(61))
+    assert all(shapes == [seen[0, step][0].shape] for step, shapes in log.calls)
+
+
 def test_jump_kernel_across_path_blocks(monkeypatch):
     # a pair holds about 200 nodes (2 rows of 81 grid nodes, epochs and
     # history jumps), so blocks of at most 450 nodes take two pairs each and
@@ -331,9 +359,14 @@ def test_jump_kernel_across_path_blocks(monkeypatch):
         block(model, cfg, n_steps, hist, tables, p0, observer, outcome)
 
     monkeypatch.setattr(ensemble, "_jump_block", spy)
-    assert_jump_kernel_matches_simulate(model, [JUMP_ONES, XI_JUMPS], cfg, 7, path_offset=2)
+    _, log = assert_jump_kernel_matches_simulate(model, [JUMP_ONES, XI_JUMPS], cfg, 7,
+                                                 path_offset=2)
     assert [(p0, rows) for p0, rows, _ in blocks] == [(0, 4), (2, 4), (4, 4), (6, 2)]
     assert all(nodes <= 450 for *_, nodes in blocks)
+    # one observer call per step and block; both rows of a pair are padded
+    # to one width
+    assert [step for step, _ in log.calls] == list(range(61)) * 4
+    assert all(shape_x == shape_e for _, (shape_x, shape_e) in log.calls)
 
 
 # ---------------------------------------------------------------------------
@@ -358,10 +391,7 @@ def test_window_recorder_sees_the_full_window():
     shapes = []
 
     class Probe:
-        def see_batch(self, step, *wins):
-            shapes.append(wins[0].shape)
-
-        def see_path(self, path, step, *wins):  # pragma: no cover
+        def see_path(self, paths, step, *wins):
             shapes.append(wins[0].shape)
 
     run_ensemble(model, ONES, cfg, 3, Probe())
@@ -500,6 +530,69 @@ def test_integral_accumulator_stops_at_divergence_on_both_routes():
     assert np.array_equal(batch.block_counts, per_path.block_counts)
     assert np.array_equal(batch.block_sums, per_path.block_sums)
     assert np.array_equal(batch.max_abs, per_path.max_abs)
+
+
+class FiniteProbe:
+    """Fail on any non-finite window; count the windows shown."""
+
+    def __init__(self):
+        self.shown = 0
+
+    def see_path(self, paths, step, *wins):
+        for w in wins:
+            assert np.isfinite(w).all(), f"non-finite window at step {step}"
+        self.shown += 1
+
+
+SATURATING_BLOWUP = jump_linear(0.5, 3.0, 0.3, 5.0, UniformSigns(), PointConstant(1.0), 1.0,
+                                saturating=True)
+DIVERGING = {
+    "retarded": (linear_retarded(0.5, 3.0, 0.2, PointConstant(1.0), 1.0), ONES, None),
+    "neutral": (neutral_linear(0.25, PointConstant(1.0), 0.5, 3.0, 0.2, 1.0), ONES, ONES),
+    "jump": (SATURATING_BLOWUP, JUMP_ONES, None),
+    "jump-coupled": (SATURATING_BLOWUP, XI_JUMPS, Segment.constant(np.array([3.0]), 1.0,
+                                                                   kind=STEP)),
+}
+
+
+@pytest.mark.parametrize("run", [run_ensemble, _run_generic], ids=["batch", "per-path"])
+@pytest.mark.parametrize("case", DIVERGING.values(), ids=DIVERGING.keys())
+@pytest.mark.parametrize("n_paths", [1, 4])
+def test_no_runner_shows_a_diverged_path(case, run, n_paths):
+    model, xi, eta = case
+    cfg = SimConfig(step=0.05, horizon=8.0, master_seed=2, divergence_guard=50.0)
+    probe = FiniteProbe()
+    out = run(model, xi, cfg, n_paths, probe, 0, eta)
+    assert out.n_diverged == n_paths and probe.shown > 0
+
+
+@pytest.mark.parametrize("eta", [None, Segment.constant(np.array([-1.0]), 1.0)],
+                         ids=["single", "coupled"])
+@pytest.mark.parametrize("model", [
+    linear_retarded(3.0, 1.0, 2.0, PointConstant(1.0), 1.0),
+    neutral_linear(0.25, PointConstant(0.73), 3.0, 0.5, 2.0, 1.0),
+], ids=["retarded", "neutral"])
+def test_paths_diverging_apart_read_the_same_on_both_routes(model, eta):
+    # a low guard under strong noise: paths leave the continuous kernel's
+    # block one by one, and the survivors step on bitwise as per path
+    cfg = SimConfig(step=0.05, horizon=6.0, master_seed=4, divergence_guard=2.5)
+    n_paths, n_steps = 12, 120
+    runs = []
+    for run in (run_ensemble, _run_generic):
+        rec = every_state(n_steps, n_paths, 1)
+        acc = IntegralAccumulator(20, 3, terminal_value, n_paths, 33)
+
+        class Both:
+            def see_path(self, paths, step, *wins):
+                rec.see_path(paths, step, *wins)
+                acc.see_path(paths, step, *wins)
+
+        out = run(model, ONES, cfg, n_paths, Both(), 0, eta)
+        runs.append((out, rec.out["x0"], acc.block_sums, acc.block_counts, acc.max_abs))
+    (out_b, *got_b), (out_g, *got_g) = runs
+    assert 0 < out_b.n_diverged < n_paths
+    assert np.array_equal(out_b.first_bad_time, out_g.first_bad_time, equal_nan=True)
+    assert all(np.array_equal(b, g, equal_nan=True) for b, g in zip(got_b, got_g))
 
 
 @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",

@@ -1,5 +1,6 @@
 """Long-run estimators: time averages, mixing gaps, moments, tightness."""
 
+import dataclasses
 import json
 import math
 import os
@@ -42,6 +43,7 @@ from sdelab.paths import SegmentKind, evaluate
 ONES = Segment.constant(np.array([1.0]), 1.0)
 ZEROS = Segment.constant(np.array([0.0]), 1.0)
 MINUS = Segment.constant(np.array([-1.0]), 1.0)
+ONES_STEP = Segment.constant(np.array([1.0]), 1.0, kind=SegmentKind.CADLAG_STEP)
 
 
 def constant_functional(c=1.0):
@@ -156,13 +158,32 @@ def test_time_average_divergence_guard():
 
 
 def test_map_only_functional_skips_diverged_batch_rows():
-    # the batch route hands NaN rows of diverged paths to the observer; a
-    # functional without window_fn must not turn them into a DomainError
+    # the batch route drops diverged paths from its block, so a functional
+    # without window_fn never sees their rows and raises no DomainError
     unstable = linear_retarded(0.5, 3.0, 0.0, PointConstant(1.0), 1.0)
     map_only = Functional("x0", lambda seg: float(seg.eval(0.0)[0]))
     cfg = SimConfig(step=0.01, horizon=10.0, ensemble=3, divergence_guard=1e3)
     with pytest.raises(DivergenceError):
         time_average(unstable, ONES, map_only, cfg, 5.0)
+
+
+@pytest.mark.parametrize("estimate", [
+    lambda model, func, cfg: time_average(model, ONES_STEP, func, cfg, 1.0),
+    lambda model, func, cfg: mixing_check(model, ONES_STEP, ONES_STEP, func, cfg),
+], ids=["time_average", "mixing_check"])
+def test_jump_map_only_functional_is_refused_up_front(monkeypatch, estimate):
+    # at intensity 0 every jump window has the uniform length; the map is
+    # still refused, before anything is simulated
+    model = jump_linear(3.0, 1.0, 0.3, 0.0, UniformSigns(), PointConstant(1.0), 1.0)
+    map_only = Functional("x0", lambda seg: float(seg.eval(0.0)[0]), lipschitz_bound=1.0)
+    cfg = SimConfig(step=0.1, horizon=4.0, ensemble=4)
+
+    def never(*args, **kwargs):  # pragma: no cover - fails the test if reached
+        raise AssertionError("simulated before refusing")
+
+    monkeypatch.setattr(sdelab.ensemble, "run_ensemble", never)
+    with pytest.raises(EstimationError, match="window_fn"):
+        estimate(model, map_only, cfg)
 
 
 def test_independent_runs_agree_across_battery():
@@ -273,6 +294,20 @@ def test_moment_check_ou_is_flat():
     assert rep.n_diverged == 0
     # stationary sup-window second moment is above the pointwise value 0.5
     assert 0.5 < rep.max_moment < 5.0
+
+
+def test_moment_check_is_bitwise_equal_on_both_routes():
+    # without its descriptor the same model runs path by path; both routes
+    # raise the recorded sup table to the power in one array operation
+    model = linear_retarded(3.0, 1.0, 0.5, PointConstant(1.0), 1.0)
+    hand_rolled = dataclasses.replace(model, descriptor=None)
+    assert not sdelab.ensemble.supports_batch(hand_rolled)
+    cfg = SimConfig(step=0.05, horizon=8.0, ensemble=20, master_seed=3)
+    batch = moment_bound_check(model, ONES, cfg, 0.1)
+    per_path = moment_bound_check(hand_rolled, ONES, cfg, 0.1)
+    assert batch.to_json() == per_path.to_json()
+    for field in ("times", "moments", "moment_ses"):
+        assert np.array_equal(getattr(batch, field), getattr(per_path, field))
 
 
 def test_moment_check_unstable_negative():
