@@ -24,6 +24,12 @@ down, so on a linear model it can fall below the algebraic constant.
 Each display's per-pair terms ``(L, A, R)`` live in one function, shared by
 the check that fits its constants and by ``replay_witness``, so a witness
 replays to exactly the sides the check stored.
+
+The sampled pairs are measured on arrays: their uniform distances come from
+one difference block over the sampler's shared grid, and a built-in jump
+model (one carrying a ``JumpLinearDescriptor``) has its jump coefficient
+evaluated on the whole mark column, once per side of a pair.  A hand-rolled
+``jump_coeff`` takes a scalar mark, so it is called once per mark.
 """
 
 from __future__ import annotations
@@ -36,7 +42,7 @@ from enum import Enum
 import numpy as np
 
 from .errors import DomainError, ModelContractError
-from .models import ModelClass, delay_atoms
+from .models import JumpLinearDescriptor, ModelClass, delay_atoms
 from .paths import Segment, SegmentKind, uniform_distance
 
 __all__ = [
@@ -127,12 +133,15 @@ class SegmentPairSampler:
     spikes (placed at the newest point, at a nominated node such as a delay
     atom, or at random), and sawtooth oscillations.  The grid always
     contains the nominated offsets so spikes can sit exactly on delay reads.
-    Trial i depends only on (seed, i), so enlarging ``n`` extends the
-    sample rather than reshuffling it.
+    Every pair lies on that one grid, with the sampler's one kind.
 
     With ``unbounded=True`` the trial budget is split into blocks of
     geometrically growing radius, which is what lets the ratio checks see
-    superlinear coefficient growth.
+    superlinear coefficient growth.  A trial's radius then depends on ``n``
+    as well (``block_of_trial(i, n)``), so only a bounded sampler's trial i
+    depends on (seed, i) alone, and only there does enlarging ``n`` extend
+    the sample rather than reshuffle it.  An unbounded trial keeps its
+    ``t`` and its value family, with the radius set by its block.
     """
 
     tau: float
@@ -146,6 +155,7 @@ class SegmentPairSampler:
     unbounded: bool = False
     n_radius_blocks: int = 4
     _grid: np.ndarray = field(init=False, repr=False)
+    _nominated: tuple = field(init=False, repr=False)
 
     def __post_init__(self):
         if self.tau <= 0:
@@ -161,6 +171,9 @@ class SegmentPairSampler:
         grid = np.array(sorted(pts))
         grid[0], grid[-1] = -self.tau, 0.0
         self._grid = grid
+        # spike sites: the newest point, then the node nearest each offset
+        self._nominated = (grid.size - 1,) + tuple(
+            int(np.argmin(np.abs(grid - th))) for th in self.important_thetas)
 
     def radius_for_trial(self, i: int, n: int) -> float:
         return self.radius * 2.0 ** self.block_of_trial(i, n)
@@ -180,10 +193,7 @@ class SegmentPairSampler:
         if family == 2:  # single spike
             base = 0.25 * radius * (2.0 * rng.random(self.dim) - 1.0)
             vals = np.tile(base, (k, 1))
-            nominated = [k - 1]
-            for th in self.important_thetas:
-                nominated.append(int(np.argmin(np.abs(self._grid - th))))
-            choices = nominated + [int(rng.integers(0, k))]
+            choices = self._nominated + (int(rng.integers(0, k)),)
             at = choices[int(rng.integers(0, len(choices)))]
             vals[at] += radius * (2.0 * rng.random(self.dim) - 1.0)
             return vals
@@ -197,7 +207,7 @@ class SegmentPairSampler:
         return Segment(self.kind, self._grid, self._values(rng, family, radius))
 
     def draw(self, n: int):
-        """Yield ``n`` trials (index, t, phi, psi)."""
+        """Yield ``n`` trials (index, t, phi, psi), all on the sampler's grid."""
         for i in range(int(n)):
             rng = np.random.default_rng([self.seed, i])
             family = i % 4
@@ -360,12 +370,24 @@ def _mark_nodes(model, mark_samples: int, seed: int):
 
 
 def _jump_delta_sq(model, t, phi, psi, zs, ws, exact):
-    """(weighted mean of ||c(t,phi,z)-c(t,psi,z)||^2, 3*SE of that mean)."""
-    vals = np.empty(zs.size)
-    for j, z in enumerate(zs):
-        dc = np.asarray(model.jump_coeff(t, phi, z)) - \
-            np.asarray(model.jump_coeff(t, psi, z))
-        vals[j] = float((dc * dc).sum())
+    """(weighted mean of ||c(t,phi,z)-c(t,psi,z)||^2, 3*SE of that mean).
+
+    A built-in jump coefficient reads the marks as a column, so each side is
+    one call returning a ``(marks, dim)`` block; its row sums are the
+    per-mark sums bit for bit.  A hand-rolled coefficient takes a scalar
+    mark and is called once per mark.
+    """
+    if isinstance(model.descriptor, JumpLinearDescriptor):
+        col = zs[:, None]
+        dc = np.asarray(model.jump_coeff(t, phi, col)) - \
+            np.asarray(model.jump_coeff(t, psi, col))
+        vals = (dc * dc).sum(axis=1)
+    else:
+        vals = np.empty(zs.size)
+        for j, z in enumerate(zs):
+            dc = np.asarray(model.jump_coeff(t, phi, z)) - \
+                np.asarray(model.jump_coeff(t, psi, z))
+            vals[j] = float((dc * dc).sum())
     mean = float((vals * ws).sum())
     if exact or zs.size < 2:
         return mean, 0.0
@@ -443,12 +465,27 @@ def _witness(rows, terms, k, c) -> Witness:
 
 def _gather(sampler, trials):
     """The sampled pairs that differ, as ``(i, t, phi, psi, sup)`` rows
-    carrying their uniform distance ``sup``."""
-    rows = []
-    for i, t, phi, psi in sampler.draw(trials):
-        sup = uniform_distance(phi, psi)
-        if sup > 0.0:
-            rows.append((i, t, phi, psi, sup))
+    carrying their uniform distance ``sup``.
+
+    All pairs share one grid and kind, so the sups come from one
+    ``(trials, k, n)`` difference block.  On a shared grid both kinds reach
+    the sup at grid points, and a step segment's left limits there repeat
+    its right values one point earlier, so each sup equals
+    ``uniform_distance(phi, psi)`` exactly.
+    """
+    draws = list(sampler.draw(trials))
+    segs = [seg for _, _, phi, psi in draws for seg in (phi, psi)]
+    if not segs:
+        raise DomainError("sampler produced no usable (distinct) pairs")
+    first = segs[0]
+    if (len({(seg.kind, seg.values.shape) for seg in segs}) != 1
+            or not (np.stack([seg.grid for seg in segs]) == first.grid).all()):
+        raise DomainError("sampled pairs must share one grid and kind")
+    values = np.stack([seg.values for seg in segs])
+    diff = values[0::2] - values[1::2]
+    sups = np.sqrt((diff ** 2).sum(axis=-1)).max(axis=-1)
+    rows = [(i, t, phi, psi, float(sup))
+            for (i, t, phi, psi), sup in zip(draws, sups) if sup > 0.0]
     if not rows:
         raise DomainError("sampler produced no usable (distinct) pairs")
     return rows

@@ -6,6 +6,7 @@ the neutral contraction-and-gate bundle, the jump bundle with exact and
 Monte Carlo mark integrals), witness replay, and verdict serialization.
 """
 
+import dataclasses
 import json
 import math
 
@@ -34,7 +35,9 @@ from sdelab import (
     linear_retarded,
     neutral_linear,
     replay_witness,
+    uniform_distance,
 )
+from sdelab.conditions import _gather
 
 
 def stable_linear():
@@ -138,6 +141,20 @@ class TestSegmentPairSampler:
         for (i1, t1, p1, q1), (i2, t2, p2, q2) in zip(first, longer):
             assert i1 == i2 and t1 == t2
             assert np.array_equal(p1.values, p2.values)
+        # an unbounded sampler sets trial i's radius by its block, which
+        # depends on n: the trial keeps its t and value family, and its
+        # values scale with the block's radius (a power of two, so exactly)
+        sampler = SegmentPairSampler(tau=1.0, seed=3, unbounded=True)
+        first = list(sampler.draw(8))
+        longer = list(sampler.draw(16))[:8]
+        for (i1, t1, p1, q1), (i2, t2, p2, q2) in zip(first, longer):
+            assert i1 == i2 and t1 == t2
+            r1, r2 = sampler.radius_for_trial(i1, 8), sampler.radius_for_trial(i1, 16)
+            assert np.array_equal(p1.values * r2, p2.values * r1)
+            assert np.array_equal(q1.values * r2, q2.values * r1)
+            # trials 0 and 1 stay in block 0; trials 2-7 change block
+            assert (r1 == r2) == (i1 < 2)
+            assert np.array_equal(p1.values, p2.values) == (i1 < 2)
 
     def test_for_model_matches_model_geometry(self):
         jump = jump_linear(3.0, 1.0, 0.3, 2.0, UniformSigns(),
@@ -577,3 +594,74 @@ class TestReplayIsExact:
         assert [v.status for v in verdicts] == [VerdictStatus.FAIL_WITH_WITNESS] * 2
         assert verdicts[1].constants["alpha3"] == math.inf
         _assert_replays_exactly(model, verdicts)
+
+
+# ---------------------------------------------------------------------------
+# trials on arrays: the mark column and the sup block match the scalar forms
+# ---------------------------------------------------------------------------
+
+_MARK_LAWS = [GaussianMarks(), UniformSigns(),
+              DiscreteMarks(atoms=(-1.0, 0.5, 2.0), weights=(0.2, 0.5, 0.3))]
+
+
+class TestTrialsOnArrays:
+    @pytest.mark.parametrize("law", _MARK_LAWS, ids=["gaussian", "signs", "discrete"])
+    @pytest.mark.parametrize("dim", [1, 2])
+    @pytest.mark.parametrize("saturating", [False, True], ids=["additive", "saturating"])
+    def test_mark_column_matches_per_mark_loop(self, law, dim, saturating):
+        # a descriptor-less copy keeps the closures but takes the per-mark loop
+        for a in (3.0, 0.4):
+            builtin = jump_linear(a, 1.0, 0.3, 2.0, law, PointConstant(1.0), 1.0,
+                                  dim=dim, saturating=saturating)
+            hand = dataclasses.replace(builtin, descriptor=None)
+            sampler = SegmentPairSampler.for_model(builtin, unbounded=a < 1.0)
+            column = check_jump_conditions(builtin, sampler, trials=60, mark_samples=64)
+            loop = check_jump_conditions(hand, sampler, trials=60, mark_samples=64)
+            for v_col, v_loop in zip(column, loop):
+                assert v_col.to_json() == v_loop.to_json()
+                if v_col.witness is not None:
+                    assert replay_witness(builtin, v_col) == replay_witness(hand, v_loop)
+        # the weak drift leaves the dissipation display Inconclusive with a witness
+        assert column[0].witness is not None
+
+    def test_builtin_jump_coefficient_is_called_once_per_side(self):
+        model = jump_linear(3.0, 1.0, 0.3, 2.0, GaussianMarks(), PointConstant(1.0), 1.0)
+        calls = []
+
+        def counting(t, seg, z, _c=model.jump_coeff):
+            calls.append(np.shape(z))
+            return _c(t, seg, z)
+
+        counted = dataclasses.replace(model, jump_coeff=counting)
+        check_jump_conditions(counted, trials=50, mark_samples=256)
+        pairs = len(_gather(SegmentPairSampler.for_model(model), 50))
+        assert len(calls) == 2 * pairs
+        assert set(calls) == {(256, 1)}
+
+    @pytest.mark.parametrize("kind", list(SegmentKind))
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_gathered_sups_equal_uniform_distance(self, kind, dim):
+        class WithIdentical(SegmentPairSampler):
+            """Every fifth pair has identical segments."""
+            def draw(self, n):
+                for i, t, phi, psi in super().draw(n):
+                    yield i, t, phi, (phi if i % 5 == 0 else psi)
+
+        sampler = WithIdentical(tau=1.0, dim=dim, kind=kind, seed=4,
+                                important_thetas=(-0.5,), unbounded=True)
+        rows = {row[0]: row for row in _gather(sampler, 40)}
+        for i, _, phi, psi in sampler.draw(40):
+            if i % 5 == 0:  # an identical pair has sup 0 and is dropped
+                assert i not in rows and uniform_distance(phi, psi) == 0.0
+            else:
+                assert rows[i][4] == uniform_distance(phi, psi) > 0.0
+
+    def test_gather_rejects_pairs_off_one_grid(self):
+        class TwoGrids(SegmentPairSampler):
+            def draw(self, n):
+                for i, t, phi, psi in super().draw(n):
+                    grid = np.linspace(-self.tau, 0.0, psi.grid.size)
+                    yield i, t, phi, Segment(psi.kind, grid, psi.values)
+
+        with pytest.raises(DomainError, match="one grid"):
+            _gather(TwoGrids(tau=1.0, important_thetas=(-0.3,)), 8)
