@@ -649,8 +649,8 @@ class TestTrialsOnArrays:
 
         sampler = WithIdentical(tau=1.0, dim=dim, kind=kind, seed=4,
                                 important_thetas=(-0.5,), unbounded=True)
-        rows = {row[0]: row for row in _gather(sampler, 40)}
-        for i, _, phi, psi in sampler.draw(40):
+        rows = {row[0]: row for row in _gather(sampler, 200)}
+        for i, _, phi, psi in sampler.draw(200):
             if i % 5 == 0:  # an identical pair has sup 0 and is dropped
                 assert i not in rows and uniform_distance(phi, psi) == 0.0
             else:
