@@ -62,8 +62,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="override [sim] seed")
         sp.add_argument("--threads", type=int, default=None,
                         help="worker pool size for per-path runs of hand-rolled "
-                             "models; the built-ins ignore it (falls back to "
-                             "$SDDE_THREADS)")
+                             "models; the built-ins ignore it")
         sp.add_argument("--output", default=None, metavar="DIR",
                         help="override [output] dir")
         if name == "check":
@@ -303,18 +302,6 @@ _RUNNERS = {
 }
 
 
-def _resolve_threads(args) -> int | None:
-    if args.threads is not None:
-        return args.threads
-    env = os.environ.get("SDDE_THREADS")
-    if env:
-        try:
-            return int(env)
-        except ValueError:
-            raise ConfigError(f"SDDE_THREADS={env!r} is not an integer") from None
-    return None
-
-
 def _write_manifest(out_dir: str, cfg: ExperimentConfig, artifacts, status,
                     wall: float):
     doc = {
@@ -342,7 +329,7 @@ def main(argv=None) -> int:
             raise ConfigError(
                 f"config file declares task '{cfg.task}' but the subcommand "
                 f"is '{args.task}'")
-        cfg = cfg.with_overrides(seed=args.seed, threads=_resolve_threads(args),
+        cfg = cfg.with_overrides(seed=args.seed, threads=args.threads,
                                  out_dir=args.output)
         out_dir = cfg.out_dir
         if out_dir is None:

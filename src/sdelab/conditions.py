@@ -697,6 +697,8 @@ def check_jump_conditions(model, sampler: SegmentPairSampler | None = None,
     """
     if model.model_class is not ModelClass.JUMP:
         raise ModelContractError("jump condition bundle needs a jump model")
+    if mark_samples < 1:
+        raise DomainError(f"mark_samples must be >= 1, got {mark_samples!r}")
     sampler = sampler or SegmentPairSampler.for_model(model)
     rows = _gather(sampler, trials)
     marks = _mark_nodes(model, mark_samples, sampler.seed)

@@ -11,6 +11,9 @@ Two routes produce the same per-path numbers:
   :func:`sdelab.engine.simulate` -- used for hand-rolled coefficients only.
   It runs them on ``cfg.threads`` threads.
 
+Before it picks a route, :func:`run_ensemble` checks the initial segments
+(window, dimension, kind) once, as :func:`~sdelab.engine.simulate` does.
+
 Because every path's noise is addressed by ``(master_seed, path_index, step,
 channel)``, the two routes consume identical randomness, and for the
 built-ins they produce bitwise-identical states: both advance every path by
@@ -196,9 +199,12 @@ def supports_batch(model) -> bool:
 def run_ensemble(model, xi, cfg: SimConfig, n_paths: int, observer,
                  path_offset: int = 0, eta: Segment | None = None) -> EnsembleOutcome:
     """Run ``n_paths`` paths (or coupled pairs when ``eta`` is given),
-    feeding every post-step window to ``observer``."""
+    feeding every post-step window to ``observer``.  The initial segments
+    are checked as :func:`simulate` checks them, whatever the route."""
     if n_paths < 1:
         raise DomainError("need at least one path")
+    for seg in [xi] if eta is None else [xi, eta]:
+        _check_initial(model, seg)
     if not supports_batch(model):
         return _run_generic(model, xi, cfg, n_paths, observer, path_offset, eta)
     if model.model_class is ModelClass.JUMP:
@@ -297,8 +303,6 @@ def _run_jump(model, xi, cfg, n_paths, observer, path_offset, eta):
     k_hist = steps_per_window(tau, h, "tau")
     n_steps = steps_per_window(cfg.horizon, h, "horizon")
     starts = [xi] if eta is None else [xi, eta]
-    for seg in starts:
-        _check_initial(model, seg)
     outcome = EnsembleOutcome(n_paths)
     hist = None
 

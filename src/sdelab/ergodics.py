@@ -10,7 +10,7 @@ classes), and a conditional mean-square displacement bound over short
 lookaheads (jump class).
 
 Estimators exclude diverged paths and refuse to report when more than 1% of
-an ensemble diverged.
+an ensemble diverged, or when a functional evaluates to NaN or infinity.
 """
 
 from __future__ import annotations
@@ -146,6 +146,9 @@ def _as_window_fn(func: Functional, model, hist_steps: int):
 
 
 def _assert_bound(func: Functional, observed_max: float):
+    if not math.isfinite(observed_max):
+        raise EstimationError(
+            f"functional {func.name!r} evaluated to {observed_max!r}")
     if func.bound is not None and observed_max > func.bound + 1e-9:
         raise EstimationError(
             f"functional {func.name!r} declared bound {func.bound!r} but "
@@ -153,14 +156,16 @@ def _assert_bound(func: Functional, observed_max: float):
 
 
 def _snap_times(times, h, n_steps, what):
-    steps = []
+    """The distinct steps nearest to ``times``, in ascending order."""
+    steps = set()
     for t in np.atleast_1d(np.asarray(times, dtype=float)):
         k = int(round(t / h))
         if k < 0 or k > n_steps:
             raise DomainError(f"{what} time {t!r} outside the simulated horizon")
-        if not steps or steps[-1] != k:
-            steps.append(k)
-    return steps
+        steps.add(k)
+    if not steps:
+        raise DomainError(f"no {what} times")
+    return sorted(steps)
 
 
 # ---------------------------------------------------------------------------
@@ -195,9 +200,7 @@ def time_average(model, xi, func: Functional, cfg: SimConfig, burn_in: float,
                                 path_offset=path_offset)
     _ens.refuse_divergence(outcome, "time averaging")
 
-    alive = ~outcome.diverged & (acc.counts > 0)
-    if not alive.any():
-        raise EstimationError("no usable paths for the time average")
+    alive = ~outcome.diverged
     _assert_bound(func, float(acc.max_abs[alive].max()))
 
     member_avgs = acc.sums[alive] / acc.counts[alive]
@@ -302,8 +305,6 @@ def mixing_check(model, xi, eta, func: Functional, cfg: SimConfig, *,
     _ens.refuse_divergence(outcome, "kernel ensemble")
     alive = ~outcome.diverged
     vals = rec.out["f"][alive]
-    ok = np.isfinite(vals).all(axis=1)
-    vals = vals[ok]
     if vals.shape[0] < 2:
         raise EstimationError("fewer than two usable kernel paths")
     _assert_bound(func, float(np.abs(vals).max()))
@@ -399,6 +400,8 @@ def moment_bound_check(model, xi, cfg: SimConfig, kappa_exp: float = 0.1, *,
     n_steps = steps_per_window(horizon, h, "horizon")
     record_steps = _snap_times(np.linspace(burn, horizon, n_eval), h, n_steps,
                                "evaluation")
+    if len(record_steps) < 2:
+        raise DomainError("the moment trend needs two distinct evaluation times")
     p = 2.0 + kappa_exp
 
     def sup(w):
@@ -409,7 +412,6 @@ def moment_bound_check(model, xi, cfg: SimConfig, kappa_exp: float = 0.1, *,
     _ens.refuse_divergence(outcome, "moment estimation")
     # one array power over the whole table, so every route rounds alike
     vals = rec.out["sup"][~outcome.diverged] ** p
-    vals = vals[np.isfinite(vals).all(axis=1)]
     if vals.shape[0] < 3:
         raise EstimationError("fewer than three usable paths for the moment check")
 

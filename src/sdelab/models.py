@@ -439,7 +439,7 @@ def jump_linear(a: float, b_lag: float, jump_scale: float, intensity: float,
 
         def second_moment(t, seg, _lam=intensity, _s=jump_scale, _m2=mark_law.second_moment(),
                           _n=dim):
-            amp = 1.0 + float(np.sqrt((seg.zero() ** 2).sum()))
+            amp = 1.0 + np.sqrt((seg.zero() ** 2).sum(axis=-1))
             return _lam * (_s * amp) ** 2 * _m2 * _n
     else:
         def jump_coeff(t, seg, z, _s=jump_scale, _e=ones):

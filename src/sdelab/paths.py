@@ -11,8 +11,8 @@ disciplines are supported, matching the two path spaces the theory runs in:
 
 The module also provides time changes of the window (increasing piecewise
 linear homeomorphisms fixing both endpoints), the uniform and Skorohod-style
-metrics on segments, and the exact modulus of continuity used by the
-tightness diagnostics.  All values are vectors in R^n; norms are Euclidean.
+metrics on segments, and the exact modulus of continuity of one segment.
+All values are vectors in R^n; norms are Euclidean.
 """
 
 from __future__ import annotations

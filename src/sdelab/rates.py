@@ -315,15 +315,11 @@ def mixing_rate_estimate(model, xi, eta, cfg: SimConfig, window) -> RateReport:
     rec = _ens.WindowRecorder(record_steps, {"d": sup_dist}, n_pairs)
     outcome = _ens.run_ensemble(model, xi, cfg, n_pairs, rec, eta=eta)
     _ens.refuse_divergence(outcome, "the coupling run")
-    alive = ~outcome.diverged
     note = ""
 
-    vals = rec.out["d"][alive]
-    curve = np.nanmean(vals, axis=0)
+    curve = rec.out["d"][~outcome.diverged].mean(axis=0)
     times = np.array(record_steps, dtype=float) * h
 
-    finite = np.isfinite(curve)
-    times, curve = times[finite], curve[finite]
     nz = curve > 0.0
     if not nz.any():
         # exact coalescence from the start (e.g. xi == eta under shared noise)
@@ -332,15 +328,11 @@ def mixing_rate_estimate(model, xi, eta, cfg: SimConfig, window) -> RateReport:
                           outcome.n_diverged, "exact coalescence everywhere")
     if not nz.all():
         first_zero = int(np.argmin(nz))
-        if nz[:first_zero].all():
-            warnings.warn(
-                "coupled distance hit exact zero; truncating the fit window "
-                f"at t={times[first_zero]:.6g}", stacklevel=2)
-            note = "window truncated at exact coalescence"
-            times, curve = times[:first_zero], curve[:first_zero]
-        else:
-            times, curve = times[nz], curve[nz]
-            note = "zero-distance points dropped from fit"
+        warnings.warn(
+            "coupled distance hit exact zero; truncating the fit window "
+            f"at t={times[first_zero]:.6g}", stacklevel=2)
+        note = "window truncated at exact coalescence"
+        times, curve = times[:first_zero], curve[:first_zero]
 
     analytic = analytic_mixing_rate(model)
     if times.size == 0:

@@ -384,6 +384,29 @@ ERROR_LINE = re.compile(
     r'^sdelab-error code=(\d+) kind=(\w+) detail="[^"]*"$', re.M)
 
 
+RETARDED_MODEL = "[model]\nname = linear_retarded\na = 3\nb_lag = 1\nsigma0 = 0.5\ntau = 1\n"
+JUMP_MODEL = ("[model]\nname = jump_linear\na = 3\nb_lag = 1\njump_scale = 0.3\n"
+              "intensity = 2\nmark_law = gaussian\ntau = 1\n")
+RUN = ("[sim]\nstep = 0.05\nhorizon = 4\nseed = 7\nensemble = 8\n"
+       "[initial]\nkind = constant\nvalue = 1\n")
+
+
+@pytest.mark.parametrize("task, inputs, keys", [
+    ("moments", RETARDED_MODEL + RUN, "n_eval = 0"),
+    ("moments", RETARDED_MODEL + RUN, "n_eval = 1"),
+    ("tightness", RETARDED_MODEL + RUN, "deltas = 0.5 0.1\neps = 0.3\nn_eval = 0"),
+    ("kurtz", JUMP_MODEL + RUN, "eps_list = 0.5, 0.2\nn_eval = 0"),
+    ("check", JUMP_MODEL, "mark_samples = 0"),
+    ("check", JUMP_MODEL, "mark_samples = -3"),
+], ids=["moments-0", "moments-1", "tightness-0", "kurtz-0", "check-marks-0",
+        "check-marks-neg"])
+def test_too_few_evaluation_times_or_marks_exit_2(tmp_path, capsys, task, inputs, keys):
+    text = f"{inputs}[task]\nname = {task}\n{keys}\n[output]\ndir = out\n"
+    assert main([task, "--config", write_config(tmp_path, text)]) == 2
+    match = ERROR_LINE.search(capsys.readouterr().err)
+    assert match and match.group(1) == "2" and match.group(2) == "DomainError"
+
+
 class TestCliRunner:
     def test_halanay_prints_rate_and_writes_manifest(self, tmp_path, capsys):
         path = write_config(tmp_path, HALANAY)
@@ -644,20 +667,15 @@ class TestCliRunner:
             assert read_manifest(out)["threads"] == threads
         assert blobs[0] == blobs[1]
 
-    def test_threads_env_fallback_and_flag_precedence(self, tmp_path, capsys,
-                                                      monkeypatch):
+    def test_threads_env_is_ignored(self, tmp_path, monkeypatch):
+        # only the config and --threads set the thread count
         path = write_config(tmp_path, JUMP_INVARIANT, name="jump.ini")
+        for env in ("3", "many"):
+            monkeypatch.setenv("SDDE_THREADS", env)
+            assert main(["invariant", "--config", path,
+                         "--output", str(tmp_path / "env")]) == 0
+            assert read_manifest(tmp_path / "env")["threads"] == 1
 
-        monkeypatch.setenv("SDDE_THREADS", "3")
-        assert main(["invariant", "--config", path,
-                     "--output", str(tmp_path / "env")]) == 0
-        assert read_manifest(tmp_path / "env")["threads"] == 3
-
-        assert main(["invariant", "--config", path, "--threads", "2",
-                     "--output", str(tmp_path / "flag")]) == 0
-        assert read_manifest(tmp_path / "flag")["threads"] == 2
-
-        monkeypatch.setenv("SDDE_THREADS", "many")
-        assert main(["invariant", "--config", path,
-                     "--output", str(tmp_path / "bad")]) == 2
-        assert "SDDE_THREADS" in capsys.readouterr().err
+            assert main(["invariant", "--config", path, "--threads", "2",
+                         "--output", str(tmp_path / "flag")]) == 0
+            assert read_manifest(tmp_path / "flag")["threads"] == 2

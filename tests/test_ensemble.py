@@ -629,6 +629,39 @@ def test_run_ensemble_needs_a_path():
         run_ensemble(model, ONES, SimConfig(step=0.1, horizon=1.0), 0, recorder([0], 1))
 
 
+# one model per route: the retarded, neutral and jump kernels, and the
+# per-path route of a hand-rolled model
+ROUTE_MODELS = {
+    "retarded": linear_retarded(3.0, 1.0, 0.5, PointConstant(1.0), 1.0),
+    "neutral": neutral_linear(0.25, PointConstant(1.0), 3.0, 0.5, 0.5, 1.0),
+    "jump": jump_linear(3.0, 1.0, 0.3, 2.0, UniformSigns(), PointConstant(1.0), 1.0),
+    "per-path": retarded_model(lambda t, seg: -seg.eval(0.0), sigma=0.2),
+}
+BAD_STARTS = {
+    "step-kind": JUMP_ONES,
+    "other-window": Segment.constant(np.array([1.0]), 2.0),
+    "other-dimension": Segment.constant(np.array([1.0, 1.0]), 1.0),
+}
+
+
+class NoCalls:
+    def see_path(self, *args):  # pragma: no cover - fails the test if reached
+        raise AssertionError("a path was shown before its start was checked")
+
+
+@pytest.mark.parametrize("as_eta", [False, True], ids=["xi", "eta"])
+@pytest.mark.parametrize("route, bad", [
+    pytest.param(route, bad, id=f"{r}-{b}")
+    for r, route in ROUTE_MODELS.items() for b, bad in BAD_STARTS.items()
+    # a step-kind start is the jump class's own
+    if not (r == "jump" and b == "step-kind")])
+def test_run_ensemble_checks_the_initial_segments_on_every_route(route, bad, as_eta):
+    xi, eta = (ONES, bad) if as_eta else (bad, None)
+    cfg = SimConfig(step=0.1, horizon=1.0, master_seed=1)
+    with pytest.raises(DomainError, match="initial segment"):
+        run_ensemble(route, xi, cfg, 2, NoCalls(), eta=eta)
+
+
 def test_outcome_starts_clean():
     out = EnsembleOutcome(5)
     assert out.n_diverged == 0

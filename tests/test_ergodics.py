@@ -111,6 +111,22 @@ def test_declared_bound_is_enforced():
         time_average(model, ONES, lying, cfg, 1.0)
 
 
+def test_non_finite_functional_values_are_refused():
+    def nan_on_last_row(w):
+        v = np.asarray(w)[..., -1, 0].copy()
+        v[-1] = np.nan
+        return v
+
+    f = Functional("nan_on_one_path", lambda seg: float(seg.eval(0.0)[0]),
+                   lipschitz_bound=1.0, window_fn=nan_on_last_row)
+    model = linear_retarded(3.0, 1.0, 0.5, PointConstant(1.0), 1.0)
+    cfg = SimConfig(step=0.1, horizon=4.0, ensemble=8)
+    with pytest.raises(EstimationError, match="nan"):
+        time_average(model, ONES, f, cfg, 1.0)
+    with pytest.raises(EstimationError, match="nan"):
+        mixing_check(model, ONES, MINUS, f, cfg, eval_times=[1.0, 2.0, 3.0])
+
+
 # ---------------------------------------------------------------------------
 # time averages
 # ---------------------------------------------------------------------------
@@ -255,6 +271,18 @@ def test_mixing_check_eval_times_validation():
                      eval_times=[2.0, 5.0])
 
 
+def test_mixing_check_sorts_and_merges_eval_times():
+    model = linear_retarded(3.0, 1.0, 0.5, PointConstant(1.0), 1.0)
+    cfg = SimConfig(step=0.02, horizon=4.0, ensemble=200, master_seed=3)
+    ref = mixing_check(model, ONES, MINUS, tanh_value_at_zero(), cfg,
+                       eval_times=[1.0, 2.0, 3.0, 4.0])
+    for times, cols in (([4.0, 3.0, 2.0, 1.0], 4), ([1.0, 2.0, 1.0], 2)):
+        rep = mixing_check(model, ONES, MINUS, tanh_value_at_zero(), cfg,
+                           eval_times=times)
+        assert np.array_equal(rep.times, ref.times[:cols])
+        assert np.array_equal(rep.p_hat, ref.p_hat[:cols])
+
+
 def test_mixing_report_serialization(tmp_path):
     model = linear_retarded(3.0, 1.0, 0.5, PointConstant(1.0), 1.0)
     cfg = SimConfig(step=0.05, horizon=6.0, ensemble=120, master_seed=4)
@@ -336,6 +364,10 @@ def test_moment_check_validation():
         moment_bound_check(ou_model(), ZEROS, cfg, -0.1)
     with pytest.raises(DomainError):
         moment_bound_check(ou_model(), ZEROS, cfg, burn_in=0.5)  # below tau
+    # the trend needs two distinct steps: none, one, or three on one step
+    for kw in ({"n_eval": 0}, {"n_eval": 1}, {"burn_in": 9.99, "n_eval": 3}):
+        with pytest.raises(DomainError, match="evaluation time"):
+            moment_bound_check(ou_model(), ZEROS, cfg, **kw)
 
 
 def test_moment_report_serialization(tmp_path):

@@ -246,6 +246,8 @@ def test_jump_closures_on_rows_equal_row_calls(saturating, dim):
                                            for row, z in zip(rows, zs)]))
     comp = np.broadcast_to(m.jump_compensator(0.0, view), (5, dim))
     assert np.array_equal(comp, np.stack([m.jump_compensator(0.0, row) for row in rows]))
+    second = np.broadcast_to(m.jump_second_moment(0.0, view), (5,))
+    assert np.array_equal(second, [m.jump_second_moment(0.0, row) for row in rows])
 
 
 def test_model_spec_class_requirements():
