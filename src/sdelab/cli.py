@@ -61,8 +61,8 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--seed", type=int, default=None,
                         help="override [sim] seed")
         sp.add_argument("--threads", type=int, default=None,
-                        help="worker pool size for per-path runs of hand-rolled "
-                             "models; the built-ins ignore it")
+                        help="override [sim] threads; recorded in the manifest, "
+                             "selects nothing (every route runs in one thread)")
         sp.add_argument("--output", default=None, metavar="DIR",
                         help="override [output] dir")
         if name == "check":

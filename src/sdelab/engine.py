@@ -70,6 +70,8 @@ class SimConfig:
     ``step`` must subdivide the model's window exactly; a configured segment
     grid must itself be step-aligned.  The divergence guard is a magnitude
     cap: paths crossing it are flagged and truncated, not raised.
+    ``threads`` selects nothing (every runner works in one thread); it is
+    checked and recorded in run manifests, so configs that set it still run.
     """
 
     step: float

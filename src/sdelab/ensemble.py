@@ -4,12 +4,12 @@ Two routes produce the same per-path numbers:
 
 * vectorized kernels that step all paths of a block together -- used for
   the built-in families (those carrying a descriptor).  The continuous
-  classes step on a rolling window buffer.  The jump class steps every
-  path's node table on the uniform grid and finishes alone only the steps
-  of a path that hold one of its epochs;
-* a generic fallback that simulates paths one by one through
+  classes step on a rolling window buffer.  The jump class keeps one head
+  per path on its node table, steps every head one grid node at a time, and
+  finishes alone only the steps of a path that hold one of its epochs;
+* a generic fallback that simulates paths one after another through
   :func:`sdelab.engine.simulate` -- used for hand-rolled coefficients only.
-  It runs them on ``cfg.threads`` threads.
+  ``cfg.threads`` selects nothing here or in the kernels.
 
 Before it picks a route, :func:`run_ensemble` checks the initial segments
 (window, dimension, kind) once, as :func:`~sdelab.engine.simulate` does.
@@ -47,7 +47,6 @@ which leaves sup and newest-point reductions unchanged.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -107,7 +106,7 @@ class WindowRecorder:
     """
 
     def __init__(self, record_steps, fns, n_paths):
-        self.record_steps = np.asarray(sorted(record_steps), dtype=int)
+        self.record_steps = np.unique(np.asarray(record_steps, dtype=int))
         self._col = {int(s): i for i, s in enumerate(self.record_steps)}
         self.fns = dict(fns)
         self.out = {name: np.full((n_paths, self.record_steps.size), np.nan)
@@ -313,10 +312,7 @@ def _run_jump(model, xi, cfg, n_paths, observer, path_offset, eta):
         epochs, marks = sample_poisson_measure(
             model.intensity, model.mark_law, cfg.horizon,
             NoiseStream(cfg.master_seed, path_offset + p))
-        tables = []
-        for seg in starts:
-            times, flags, i_zero, epoch_node = _jump_nodes(seg, tau, h, k_hist, n_steps, epochs)
-            tables.append((times, flags, i_zero, epoch_node, marks))
+        tables = [(*_jump_nodes(seg, tau, h, k_hist, n_steps, epochs), marks) for seg in starts]
         if hist is None:  # the window nodes depend on the initial segment alone
             hist = [evaluate_many(seg, tab[0][:tab[2] + 1])[0]
                     for seg, tab in zip(starts, tables)]
@@ -339,9 +335,9 @@ def _jump_block(model, cfg, n_steps, hist, tables, p0, observer, outcome):
     so its per-row arrays are freed before the block steps.
 
     All rows step together from grid node to grid node with a scalar ``t``,
-    reading through one :class:`engine._CadlagView` whose head holds each
-    row's grid node.  A row whose step holds epoch nodes takes its first
-    sub-step with the block and finishes the step alone with
+    reading through one :class:`engine._CadlagView` whose head ``cur``
+    holds each row's grid node.  A row with epoch nodes in a step takes its
+    first sub-step with the block and finishes the step alone with
     :func:`engine._jump_step` on a single head, as
     :func:`engine._simulate_jump` does.  Observers see the block's live
     paths one step late, once a divergence within the next step is known,
@@ -359,24 +355,22 @@ def _jump_block(model, cfg, n_steps, hist, tables, p0, observer, outcome):
     states = np.empty((first[-1], model.dim))
     for r, (a, tab) in enumerate(zip(first, tables)):
         states[a:a + tab[2] + 1] = hist[r % n_starts]
+    cur = np.add(first[:-1], [tab[2] for tab in tables])  # each row's flat grid node
     tables.clear()
     view = _CadlagView(states, times, first, tau, delay_atoms(model.delay))
     win_start = view.reads[-tau]
+    # a window runs through its grid node; at t = 0 also through the forward
+    # nodes in (0, _NODE_ATOL], which the node rule reads as at 0
+    end_0 = np.array([a + _node_index(times[a:b], 0.0) + 1 for a, b in zip(first, first[1:])])
 
-    # per grid node and row, flat nodes: the grid node (k * h exactly, as the
-    # node tables hold h * k), whose read at -tau starts its observer window,
-    # and the end of that window by the _node_index rule.  A step that passes
-    # an epoch node of its row, or ends on one, is split
-    grid = np.arange(n_steps + 1) * h
-    node, hi = nodes = np.empty((2, n_steps + 1, n_rows), np.intp)
-    split = np.empty((n_steps, n_rows), dtype=bool)
-    for r, (a, b) in enumerate(zip(first, first[1:])):
-        row = times[a:b]
-        node[:, r] = at = np.searchsorted(row, grid)
-        split[:, r] = (np.diff(at) > 1) | flags[a:b][at[1:]]
-        hi[:, r] = _node_index(row, grid) + 1
-    nodes += first[:-1]
-    split_steps = set(np.flatnonzero(split.any(axis=1)).tolist())
+    # the rows with an epoch node in (k * h, (k + 1) * h], by step k: the
+    # grid nodes hold h * k exactly, and an epoch merged onto one keeps it
+    epoch_nodes = np.fromiter(marks, np.intp, len(marks))
+    split = {}
+    for k, r in np.unique([np.searchsorted(np.arange(n_steps + 1) * h, times[epoch_nodes]) - 1,
+                           np.searchsorted(first, epoch_nodes, side="right") - 1],
+                          axis=1).T.tolist():
+        split.setdefault(k, []).append(r)
 
     dead = np.zeros(n_rows, dtype=bool)
     bad_time = np.full(n_rows, np.nan)
@@ -396,18 +390,23 @@ def _jump_block(model, cfg, n_steps, hist, tables, p0, observer, outcome):
         earliest = min(earliest, stop[p])
 
     def finish_row(r, k, applied):
-        i = int(node[k, r]) + 1
-        # the block stepped the row by the grid spacing; redo the sub-step to
-        # the row's own next node, which may be a nearer epoch
-        states[i] = states[i - 1] + applied * float(times[i] - times[i - 1])
-        if flags[i]:
-            _jump_at(model, view, i, times, marks)
-        while not _out_of_guard(states[i], guard):
-            if i == node[k + 1, r]:
-                return
-            _jump_step(model, view, i, times, flags, marks)
+        """Finish row r's step k; return its grid node k + 1, the first node at (k + 1) * h."""
+        i, end = int(cur[r]) + 1, (k + 1) * h
+        if not dead[r]:
+            # the block stepped the row by the grid spacing; redo the sub-step
+            # to the row's own next node, which may be a nearer epoch
+            states[i] = states[i - 1] + applied * float(times[i] - times[i - 1])
+            if flags[i]:
+                _jump_at(model, view, i, times, marks)
+            while not _out_of_guard(states[i], guard):
+                if times[i] == end:
+                    return i
+                _jump_step(model, view, i, times, flags, marks)
+                i += 1
+            diverge(r, i)
+        while times[i] != end:
             i += 1
-        diverge(r, i)
+        return i
 
     def observe(k):
         nonlocal earliest, live, paths, rows
@@ -419,30 +418,30 @@ def _jump_block(model, cfg, n_steps, hist, tables, p0, observer, outcome):
         if not live.size:
             return
         if n_rows == 1:
-            observer.see_path(p0, k, states[win_start[node[k, 0]]:hi[k, 0]])
+            c = cur[0]
+            observer.see_path(p0, k, states[win_start[c]:end_0[0] if k == 0 else c + 1])
             return
-        end, start = hi[k, rows], win_start[node[k, rows]]
+        end, start = (end_0 if k == 0 else cur + 1)[rows], win_start[cur[rows]]
         at = end[:, None] + np.arange(-int((end - start).max()), 0)
         wins = states[np.maximum(at, start[:, None])]
         observer.see_path(paths, k, *[wins[q::n_starts] for q in range(n_starts)])
 
     for k in range(n_steps):
-        cur = node[k]
         t = k * h
         view.head = cur
         applied = model.drift(t, view) - model.jump_compensator(t, view)
         new = states[cur] + applied * ((k + 1) * h - t)
-        states[cur + 1] = new
+        nxt = cur + 1
+        states[nxt] = new
         bad = _out_of_guard(new, guard)
-        if k in split_steps:
-            split_rows = np.flatnonzero(split[k])
+        split_rows = split.pop(k, None)
+        if split_rows:
             bad[split_rows] = False
-            for r in split_rows.tolist():
-                if not dead[r]:
-                    finish_row(r, k, applied[r])
+            nxt[split_rows] = [finish_row(r, k, applied[r]) for r in split_rows]
         for r in np.flatnonzero(bad & ~dead).tolist():
             diverge(r, cur[r] + 1)
         observe(k)
+        cur = nxt
     observe(n_steps)
 
     pair_bad = np.fmin.reduce(bad_time.reshape(-1, n_starts), axis=1)
@@ -456,12 +455,10 @@ def _jump_block(model, cfg, n_steps, hist, tables, p0, observer, outcome):
 
 def _run_generic(model, xi, cfg, n_paths, observer, path_offset, eta):
     outcome = EnsembleOutcome(n_paths)
-    h = cfg.step
-    tau = model.tau
+    h, tau = cfg.step, model.tau
     k_hist = steps_per_window(tau, h, "tau")
     n_steps = steps_per_window(cfg.horizon, h, "horizon")
     starts = [xi] if eta is None else [xi, eta]
-    fp_iters = np.zeros(n_paths, dtype=int)
 
     if model.model_class is ModelClass.JUMP:
         def window(traj, k):
@@ -471,27 +468,19 @@ def _run_generic(model, xi, cfg, n_paths, observer, path_offset, eta):
         def window(traj, k):
             return traj.states[k:k + k_hist + 1]
 
-    def work(p):
+    for p in range(n_paths):
         stream = NoiseStream(cfg.master_seed, path_offset + p)
         trajs = [simulate(model, seg, cfg, stream) for seg in starts]
         bads = [traj.diverged_at for traj in trajs if traj.diverged]
         if bads:
             outcome.diverged[p] = True
             outcome.first_bad_time[p] = min(bads)
-        fp_iters[p] = max(traj.max_fixed_point_iters for traj in trajs)
+        outcome.max_fixed_point_iters = max(outcome.max_fixed_point_iters,
+                                            *(traj.max_fixed_point_iters for traj in trajs))
         # observers never see a path at or after its first bad step
         stop = min(bads, default=math.inf) - _NODE_ATOL
         for k in range(n_steps + 1):
             if k * h >= stop:
                 break
             observer.see_path(p, k, *[window(traj, k) for traj in trajs])
-
-    threads = max(1, cfg.threads)
-    if threads == 1 or n_paths == 1:
-        for p in range(n_paths):
-            work(p)
-    else:
-        with ThreadPoolExecutor(max_workers=threads) as ex:
-            list(ex.map(work, range(n_paths)))
-    outcome.max_fixed_point_iters = int(fp_iters.max(initial=0))
     return outcome

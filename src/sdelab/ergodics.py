@@ -168,6 +168,13 @@ def _snap_times(times, h, n_steps, what):
     return sorted(steps)
 
 
+def _even_steps(start, horizon, n_eval, h, n_steps):
+    """The distinct steps nearest to ``n_eval`` even times from start to horizon."""
+    if n_eval < 1:
+        raise DomainError(f"n_eval={n_eval!r}: need at least one evaluation time")
+    return _snap_times(np.linspace(start, horizon, n_eval), h, n_steps, "evaluation")
+
+
 # ---------------------------------------------------------------------------
 # time averages
 # ---------------------------------------------------------------------------
@@ -398,8 +405,7 @@ def moment_bound_check(model, xi, cfg: SimConfig, kappa_exp: float = 0.1, *,
     if not tau <= burn < horizon:
         raise DomainError("burn_in must lie in [tau, horizon)")
     n_steps = steps_per_window(horizon, h, "horizon")
-    record_steps = _snap_times(np.linspace(burn, horizon, n_eval), h, n_steps,
-                               "evaluation")
+    record_steps = _even_steps(burn, horizon, n_eval, h, n_steps)
     if len(record_steps) < 2:
         raise DomainError("the moment trend needs two distinct evaluation times")
     p = 2.0 + kappa_exp
@@ -500,8 +506,7 @@ def tightness_diagnostic(model, xi, cfg: SimConfig, delta_list, eps: float, *,
     if not tau <= start < horizon:
         raise DomainError("burn_in must lie in [tau, horizon)")
     n_steps = steps_per_window(horizon, h, "horizon")
-    record_steps = _snap_times(np.linspace(start, horizon, n_eval), h, n_steps,
-                               "evaluation")
+    record_steps = _even_steps(start, horizon, n_eval, h, n_steps)
 
     fns = {f"d{i}": (lambda w, d=d: _uniform_window_modulus(w, h, d))
            for i, d in enumerate(deltas)}
@@ -572,8 +577,7 @@ def kurtz_diagnostic(model, xi, cfg: SimConfig, eps_list, *,
     if not tau <= t0 <= horizon:
         raise DomainError("tail_start must lie in [tau, horizon]")
     n_steps = steps_per_window(horizon, h, "horizon")
-    eval_steps = _snap_times(np.linspace(t0, horizon, n_eval), h, n_steps,
-                             "evaluation")
+    eval_steps = _even_steps(t0, horizon, n_eval, h, n_steps)
     eval_t = np.array(eval_steps, dtype=float) * h
 
     table = np.zeros((eval_t.size, len(eps)))

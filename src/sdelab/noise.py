@@ -26,6 +26,8 @@ from __future__ import annotations
 import numpy as np
 from scipy.special import ndtri
 
+from .errors import DomainError
+
 __all__ = ["NoiseStream", "PATH_BLOCK_PRIMARY", "PATH_BLOCK_PI_A", "PATH_BLOCK_PI_B"]
 
 # Reserved path-index blocks.  Ensemble estimators place their paths at
@@ -57,7 +59,7 @@ class NoiseStream:
 
     def __init__(self, master_seed: int, path_index: int = 0):
         if path_index < 0:
-            raise ValueError("path_index must be nonnegative")
+            raise DomainError("path_index must be nonnegative")
         self.master_seed = int(master_seed)
         self.path_index = int(path_index)
         self._key = np.array(

@@ -352,12 +352,11 @@ class SearchParams:
     ``_WARP_BLOCK`` evaluation points, so temporary memory stays bounded
     (about 1.3 MiB at m = 8 for 41-point segments).  A positive
     ``resolution`` turns on local coordinate-descent refinement of the best
-    matching's interior images on a grid of that spacing.
+    matching's interior images on a grid of that spacing (two passes).
     """
 
     resolution: float = 0.0
     max_match_points: int = 8
-    refine_passes: int = 2
     lower_bound_levels: int = 24
 
 
@@ -471,6 +470,8 @@ def _critical_points(seg: Segment, cap: int) -> np.ndarray:
 # cap on (warps x evaluation points) per ``_warped_distances`` call: bounds
 # the temporaries of a matching size with thousands of candidates
 _WARP_BLOCK = 1 << 13
+# coordinate-descent passes of the refinement at a positive resolution
+_REFINE_PASSES = 2
 
 
 def skorohod_distance(xi: Segment, eta: Segment, search: SearchParams | None = None) -> DistanceBracket:
@@ -551,7 +552,7 @@ def _with_ends(pts: np.ndarray, k: int, tau: float) -> np.ndarray:
 def _refine(xi, eta, warp, best_obj, best_hn, search):
     bp, im = warp
     res = search.resolution
-    for _ in range(search.refine_passes):
+    for _ in range(_REFINE_PASSES):
         improved = False
         for i in range(1, im.size - 1):
             for step in (-res, res):

@@ -396,15 +396,26 @@ RUN = ("[sim]\nstep = 0.05\nhorizon = 4\nseed = 7\nensemble = 8\n"
     ("moments", RETARDED_MODEL + RUN, "n_eval = 1"),
     ("tightness", RETARDED_MODEL + RUN, "deltas = 0.5 0.1\neps = 0.3\nn_eval = 0"),
     ("kurtz", JUMP_MODEL + RUN, "eps_list = 0.5, 0.2\nn_eval = 0"),
+    ("moments", RETARDED_MODEL + RUN, "n_eval = -2"),
+    ("tightness", RETARDED_MODEL + RUN, "deltas = 0.5 0.1\neps = 0.3\nn_eval = -1"),
+    ("kurtz", JUMP_MODEL + RUN, "eps_list = 0.5, 0.2\nn_eval = -1"),
     ("check", JUMP_MODEL, "mark_samples = 0"),
     ("check", JUMP_MODEL, "mark_samples = -3"),
-], ids=["moments-0", "moments-1", "tightness-0", "kurtz-0", "check-marks-0",
-        "check-marks-neg"])
+], ids=["moments-0", "moments-1", "tightness-0", "kurtz-0", "moments-neg", "tightness-neg",
+        "kurtz-neg", "check-marks-0", "check-marks-neg"])
 def test_too_few_evaluation_times_or_marks_exit_2(tmp_path, capsys, task, inputs, keys):
     text = f"{inputs}[task]\nname = {task}\n{keys}\n[output]\ndir = out\n"
     assert main([task, "--config", write_config(tmp_path, text)]) == 2
     match = ERROR_LINE.search(capsys.readouterr().err)
     assert match and match.group(1) == "2" and match.group(2) == "DomainError"
+
+
+def test_negative_path_index_exits_2(tmp_path, capsys):
+    text = RETARDED_MODEL + RUN + "[task]\nname = simulate\npath_index = -1\n[output]\ndir = out\n"
+    assert main(["simulate", "--config", write_config(tmp_path, text)]) == 2
+    match = ERROR_LINE.search(capsys.readouterr().err)
+    assert match and match.group(1) == "2" and match.group(2) == "DomainError"
+    assert "path_index" in match.group(0)
 
 
 class TestCliRunner:

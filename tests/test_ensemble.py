@@ -262,14 +262,20 @@ def test_jump_kernel_matches_simulate(delay, starts):
     assert_jump_kernel_matches_simulate(model, starts, cfg, 5)
 
 
+@pytest.mark.parametrize("intensity", [5.0, 60.0], ids=["lambda-5", "lambda-60"])
 @pytest.mark.parametrize("delay", [PointConstant(0.73), VARIABLE_DELAYS["variable-fractional"]],
                          ids=["point-fractional", "variable-fractional"])
-def test_jump_kernel_matches_simulate_coupled(delay):
+def test_jump_kernel_matches_simulate_coupled(delay, intensity):
     # xi and eta carry different history jumps, so the rows of a pair have
-    # different node tables over the same epochs
-    model = jump_linear(3.0, 1.0, 0.3, 5.0, GaussianMarks(0.1, 1.0), delay, 1.0)
+    # different node tables over the same epochs; at lambda = 60 a step
+    # holds three epochs on average, so a row's head crosses several at once
+    model = jump_linear(3.0, 1.0, 0.3, intensity, GaussianMarks(0.1, 1.0), delay, 1.0)
     cfg = SimConfig(step=0.05, horizon=3.0, master_seed=21)
     assert_jump_kernel_matches_simulate(model, [XI_JUMPS, ETA_JUMPS], cfg, 5)
+    if intensity == 60.0:
+        epochs, _ = engine.sample_poisson_measure(intensity, model.mark_law, 3.0,
+                                                  NoiseStream(21, 0))
+        assert np.bincount(np.ceil(epochs / 0.05).astype(int)).max() >= 2
 
 
 @pytest.mark.parametrize("dim", [1, 2])
@@ -383,6 +389,17 @@ def test_window_recorder_matches_direct_simulation():
         traj = simulate(model, ONES, cfg, path_index=p)
         for col, k in enumerate(steps):
             assert rec.out["x"][p, col] == traj.state_at(k * cfg.step)[0]
+
+
+def test_window_recorder_keeps_one_column_per_distinct_step():
+    model = linear_retarded(3.0, 1.0, 0.5, PointConstant(1.0), 1.0)
+    cfg = SimConfig(step=0.1, horizon=1.0, master_seed=4)
+    rec = recorder([7, 5, 5, 7], 2)
+    run_ensemble(model, ONES, cfg, 2, rec)
+    ref = recorder([5, 7], 2)
+    run_ensemble(model, ONES, cfg, 2, ref)
+    assert rec.record_steps.tolist() == [5, 7]
+    assert np.array_equal(rec.out["x"], ref.out["x"]) and np.isfinite(rec.out["x"]).all()
 
 
 def test_window_recorder_sees_the_full_window():

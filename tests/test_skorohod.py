@@ -16,7 +16,13 @@ from sdelab import (
     skorohod_distance,
     uniform_distance,
 )
-from sdelab.paths import _critical_points, _lower_bound, _warped_distances, evaluate_many
+from sdelab.paths import (
+    _REFINE_PASSES,
+    _critical_points,
+    _lower_bound,
+    _warped_distances,
+    evaluate_many,
+)
 
 from helpers import indicator_step, random_step_segment
 
@@ -260,7 +266,7 @@ def reference_bracket(xi, eta, search):
                     best_obj, best_hn, best = obj, hn, (bp, im)
     if search.resolution > 0 and best is not None:
         bp, im = best
-        for _ in range(search.refine_passes):
+        for _ in range(_REFINE_PASSES):
             improved = False
             for i in range(1, im.size - 1):
                 for step in (-search.resolution, search.resolution):
