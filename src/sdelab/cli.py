@@ -79,7 +79,7 @@ def _err_line(code: int, exc: BaseException) -> str:
 def _functional(params):
     name = params["functional"]
     if name == "clipped_sup_norm":
-        return clipped_sup_norm(params.get("clip", 10.0))
+        return clipped_sup_norm(params["clip"])
     return {"value_at_zero": value_at_zero,
             "tanh_value_at_zero": tanh_value_at_zero,
             "squared_value_at_zero": squared_value_at_zero}[name]()
@@ -149,11 +149,8 @@ def _run_mixing(cfg, out, args):
     rep = mixing_check(cfg.model, cfg.xi, cfg.eta, _functional(p), cfg.sim,
                        eval_times=p["eval_times"], pi_burn_in=p["pi_burn_in"],
                        pi_ensemble=p["pi_ensemble"])
-    arts = ["mixing_gaps.csv"]
     rep.to_csv(os.path.join(out, "mixing_gaps.csv"))
-    if "json" in cfg.formats:
-        _write(os.path.join(out, "mixing.json"), rep.to_json())
-        arts.append("mixing.json")
+    _write(os.path.join(out, "mixing.json"), rep.to_json())
     print(f"pi_hat = {rep.pi_hat:.17g} +- {rep.pi_se:.3g}; "
           f"alt = {rep.pi_hat_alt:.17g} +- {rep.pi_se_alt:.3g}; "
           f"agree within 3 SE: {rep.pi_agree}")
@@ -161,7 +158,7 @@ def _run_mixing(cfg, out, args):
           f"r_squared={rep.r_squared:.6g} n_fit_points={rep.n_fit_points}")
     if rep.note:
         print(f"note: {rep.note}")
-    return arts, "ok", 0
+    return ["mixing_gaps.csv", "mixing.json"], "ok", 0
 
 
 def _run_invariant(cfg, out, args):
@@ -180,16 +177,13 @@ def _run_moments(cfg, out, args):
     p = cfg.task_params
     rep = moment_bound_check(cfg.model, cfg.xi, cfg.sim, p["kappa_exp"],
                              burn_in=p["burn_in"], n_eval=p["n_eval"])
-    arts = ["moments.csv"]
     rep.to_csv(os.path.join(out, "moments.csv"))
-    if "json" in cfg.formats:
-        _write(os.path.join(out, "moments.json"), rep.to_json())
-        arts.append("moments.json")
+    _write(os.path.join(out, "moments.json"), rep.to_json())
     lo, hi = rep.slope_ci
     print(f"sup-moment power {rep.power:g}: max {rep.max_moment:.6g}, "
           f"slope {rep.slope:.3g} with 99% CI [{lo:.3g}, {hi:.3g}] "
           f"(contains zero: {rep.contains_zero})")
-    return arts, "ok", 0
+    return ["moments.csv", "moments.json"], "ok", 0
 
 
 def _run_tightness(cfg, out, args):

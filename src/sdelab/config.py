@@ -1,24 +1,26 @@
 """Experiment configuration files.
 
 The on-disk format is flat INI: sections of ``key = value`` lines, parsed
-with :mod:`configparser` (no interpolation, ``#``/``;`` comments).  Every
-key is validated against the section's documented vocabulary and unknown
-keys are rejected, so a typo fails loudly instead of silently running a
-default.  Seeds are always explicit — there is no wall-clock fallback.
+with :mod:`configparser` (no interpolation, ``#``/``;`` comments).  Unknown
+keys are rejected, so a typo, or a key that the chosen model, delay, mark
+law or segment kind does not read, fails loudly instead of silently running
+a default.  Seeds are always explicit — there is no wall-clock fallback.
 
 Sections
 --------
 ``[model]``     built-in model name plus its parameters.
 ``[sim]``       discretization / reproducibility knobs (``SimConfig``).
 ``[task]``      exactly one task ``name`` plus task-specific parameters.
-``[output]``    artifact directory (and optional format list).
+``[output]``    the artifact directory ``dir``, and nothing else.
 ``[initial]``   initial segment (``[initial2]`` for two-segment tasks).
 
-Each task's keys, parsers and defaults live in one table, ``_TASKS``, whose
-order is also the order of ``TASK_NAMES``.  ``[sim]`` keys are ``SimConfig``
-fields (``seed`` is ``master_seed``), parsed by ``_SIM_PARSERS``; a key the
-file leaves out takes ``SimConfig``'s own default, so the library and the
-CLI share one default.
+:func:`_parse` reads every section from a table, key -> (parser, default).
+A selector key (the task or model ``name``, ``delay``, ``mark_law``, a
+segment ``kind``) picks a variant, whose own table (``_TASKS``,
+``_MODELS``, ``_DELAYS``, ``_MARK_LAWS``, ``_SEGMENTS``) parses in its
+place; a key of no chosen table is refused with the chosen vocabulary.
+``[sim]`` keys are ``SimConfig`` fields (``seed`` is ``master_seed``), and
+one the file leaves out takes ``SimConfig``'s own default.
 """
 
 from __future__ import annotations
@@ -58,20 +60,6 @@ _SIM_TASKS = ("simulate", "couple", "mixing", "invariant", "moments",
 # tasks needing a second initial segment
 _PAIR_TASKS = ("couple", "mixing", "skorohod")
 
-_MODEL_KEYS = {
-    "name", "tau", "dim", "a", "b_lag", "sigma0", "kappa",
-    "jump_scale", "intensity", "saturating", "mark_law",
-    "mark_lo", "mark_hi", "mark_mu", "mark_sigma", "mark_value",
-    "mark_atoms", "mark_weights",
-    "delay", "lag", "delay_base", "delay_amp", "delay_freq",
-    "delay_atoms", "delay_weights",
-}
-_INITIAL_KEYS = {
-    "kind", "value", "start", "end", "amp", "freq", "phase", "offset",
-    "path", "points", "tau",
-}
-_OUTPUT_KEYS = {"dir", "formats"}
-
 
 @dataclass(frozen=True)
 class ExperimentConfig:
@@ -84,7 +72,6 @@ class ExperimentConfig:
     xi: Segment | None
     eta: Segment | None
     out_dir: str | None
-    formats: tuple
     config_sha256: str
     source_path: str
 
@@ -103,10 +90,8 @@ class ExperimentConfig:
             if threads is not None:
                 kw["threads"] = int(threads)
             sim = replace(sim, **kw)
-        return ExperimentConfig(
-            self.task, self.task_params, self.model, sim, self.xi, self.eta,
-            out_dir if out_dir is not None else self.out_dir,
-            self.formats, self.config_sha256, self.source_path)
+        return replace(self, sim=sim,
+                       out_dir=out_dir if out_dir is not None else self.out_dir)
 
 
 # ---------------------------------------------------------------------------
@@ -125,9 +110,12 @@ def _check_keys(section: str, items: dict, allowed: set):
             f"allowed: {', '.join(sorted(allowed))}")
 
 
-def _get(items, section, key, conv, required=False, default=None):
+_REQUIRED = object()  # the default of a key the section must set
+
+
+def _get(items, section, key, conv, default=None):
     if key not in items:
-        if required:
+        if default is _REQUIRED:
             _fail(section, f"missing required key '{key}'")
         return default
     raw = items[key].strip()
@@ -139,6 +127,29 @@ def _get(items, section, key, conv, required=False, default=None):
         _fail(section, f"key '{key}': cannot parse {raw!r}")
 
 
+def _parse(section: str, items: dict, table: dict) -> dict:
+    """Check and parse one section by its key table, key -> (parser, default).
+
+    A parser that is a dict is a selector: the key's value must name one of
+    its variants, whose own table then parses in the key's place.  Keys
+    outside the chosen tables are refused before any other value is parsed.
+    """
+    rows, values = list(table.items()), {}
+    i = 0
+    while i < len(rows):
+        key, (conv, default) = rows[i]
+        i += 1
+        if isinstance(conv, dict):
+            values[key] = _enum(section, key, _get(items, section, key, _as_str, default),
+                                tuple(conv))
+            rows[i:i] = conv[values[key]].items()
+    _check_keys(section, items, {key for key, _ in rows})
+    for key, (conv, default) in rows:
+        if key not in values:
+            values[key] = _get(items, section, key, conv, default)
+    return values
+
+
 def _as_float(raw: str) -> float:
     v = float(raw)
     if not math.isfinite(v):
@@ -147,8 +158,7 @@ def _as_float(raw: str) -> float:
 
 
 def _as_int(raw: str) -> int:
-    v = int(raw, 0)
-    return v
+    return int(raw, 0)
 
 
 def _as_bool(raw: str) -> bool:
@@ -179,7 +189,7 @@ def _enum(section, key, raw, choices):
 
 
 # ---------------------------------------------------------------------------
-# [task] and [sim] vocabularies
+# key tables: key -> (parser, default), in parse order
 # ---------------------------------------------------------------------------
 
 def _task_enum(key, choices):
@@ -194,12 +204,11 @@ def _check_ids(raw: str) -> tuple:
     return ids
 
 
-_REQUIRED = object()  # a task key without a default
 _functional = _task_enum("functional", (
     "value_at_zero", "tanh_value_at_zero", "squared_value_at_zero",
     "clipped_sup_norm"))
 
-# task -> its keys besides ``name``, in parse order: key -> (parser, default)
+# task -> its keys besides ``name``
 _TASKS = {
     "simulate": {"path_index": (_as_int, 0)},
     "couple": {"window_start": (_as_float, _REQUIRED),
@@ -228,14 +237,60 @@ _TASKS = {
 }
 TASK_NAMES = tuple(_TASKS)
 
-# [sim] key -> parser, in parse order; the first three are required.  Each key
-# names its SimConfig field (``seed`` is ``master_seed``), and a key the file
-# leaves out takes SimConfig's own default
-_SIM_PARSERS = {
-    "step": _as_float, "horizon": _as_float, "seed": _as_int,
-    "ensemble": _as_int, "threads": _as_int, "divergence_guard": _as_float,
-    "fixed_point_tol": _as_float, "fixed_point_max_iter": _as_int,
-    "segment_grid_points": _as_int,
+# the first three are required; the rest default to SimConfig's own defaults
+_SIM = {"step": (_as_float, _REQUIRED), "horizon": (_as_float, _REQUIRED),
+        "seed": (_as_int, _REQUIRED),
+        **{key: (conv, getattr(SimConfig, key)) for key, conv in (
+            ("ensemble", _as_int), ("threads", _as_int),
+            ("divergence_guard", _as_float), ("fixed_point_tol", _as_float),
+            ("fixed_point_max_iter", _as_int))}}
+
+# a point lag left out is the whole window, tau
+_DELAYS = {
+    "point": {"lag": (_as_float, None)},
+    "variable_sin": {"delay_base": (_as_float, _REQUIRED),
+                     "delay_amp": (_as_float, _REQUIRED),
+                     "delay_freq": (_as_float, 1.0)},
+    "distributed": {"delay_atoms": (_as_float_list, _REQUIRED),
+                    "delay_weights": (_as_float_list, _REQUIRED)},
+}
+
+# mark law -> (its class, its keys in the class's argument order)
+_MARK_LAWS = {
+    "uniform_signs": (UniformSigns, {}),
+    "uniform": (UniformInterval, {"mark_lo": (_as_float, _REQUIRED),
+                                  "mark_hi": (_as_float, _REQUIRED)}),
+    "gaussian": (GaussianMarks, {"mark_mu": (_as_float, 0.0),
+                                 "mark_sigma": (_as_float, 1.0)}),
+    "constant": (ConstantMark, {"mark_value": (_as_float, 1.0)}),
+    "discrete": (DiscreteMarks, {"mark_atoms": (_as_float_list, _REQUIRED),
+                                 "mark_weights": (_as_float_list, _REQUIRED)}),
+}
+
+# every model reads these first, then its own keys
+_MODEL = {"tau": (_as_float, _REQUIRED), "dim": (_as_int, 1),
+          "a": (_as_float, _REQUIRED), "b_lag": (_as_float, _REQUIRED),
+          "delay": (_DELAYS, "point")}
+_SIGMA0 = (_as_float_list, _REQUIRED)
+_MODELS = {
+    "linear_retarded": {**_MODEL, "sigma0": _SIGMA0},
+    "neutral_linear": {**_MODEL, "sigma0": _SIGMA0, "kappa": (_as_float, _REQUIRED)},
+    "jump_linear": {**_MODEL, "jump_scale": (_as_float, _REQUIRED),
+                    "intensity": (_as_float, _REQUIRED), "saturating": (_as_bool, False),
+                    "mark_law": ({law: keys for law, (_, keys) in _MARK_LAWS.items()},
+                                 "uniform_signs")},
+}
+
+# the window keys; a tau left out is the model's
+_WINDOW = {"tau": (_as_float, None), "points": (_as_int, 101)}
+_SEGMENTS = {
+    "constant": {**_WINDOW, "value": (_as_float_list, _REQUIRED)},
+    "linear": {**_WINDOW, "start": (_as_float_list, _REQUIRED),
+               "end": (_as_float_list, _REQUIRED)},
+    # value(theta) = offset + amp * sin(freq * theta + phase)
+    "sine": {**_WINDOW, "amp": (_as_float, 1.0), "freq": (_as_float, 1.0),
+             "phase": (_as_float, 0.0), "offset": (_as_float, 0.0)},
+    "csv": {"path": (_as_str, _REQUIRED)},
 }
 
 
@@ -243,18 +298,15 @@ _SIM_PARSERS = {
 # section builders
 # ---------------------------------------------------------------------------
 
-def _build_delay(items, tau: float):
-    kind = _enum("model", "delay", items.get("delay", "point").strip(),
-                 ("point", "variable_sin", "distributed"))
+def _build_delay(p: dict, tau: float):
+    kind = p["delay"]
     if kind == "point":
-        lag = _get(items, "model", "lag", _as_float, default=tau)
+        lag = tau if p["lag"] is None else p["lag"]
         if not 0.0 <= lag <= tau:
             _fail("model", f"lag must lie in [0, tau], got {lag!r}")
         return PointConstant(lag)
     if kind == "variable_sin":
-        base = _get(items, "model", "delay_base", _as_float, required=True)
-        amp = _get(items, "model", "delay_amp", _as_float, required=True)
-        freq = _get(items, "model", "delay_freq", _as_float, default=1.0)
+        base, amp, freq = p["delay_base"], p["delay_amp"], p["delay_freq"]
         if base - abs(amp) < 0.0 or base + abs(amp) > tau:
             _fail("model", "variable delay range [base-|amp|, base+|amp|] "
                            "must stay inside [0, tau]")
@@ -263,59 +315,26 @@ def _build_delay(items, tau: float):
             return _b + _a * math.sin(_f * t)
 
         return PointVariable(delta)
-    atoms = _get(items, "model", "delay_atoms", _as_float_list, required=True)
-    weights = _get(items, "model", "delay_weights", _as_float_list, required=True)
-    return Distributed(atoms, weights)
-
-
-def _build_mark_law(items):
-    kind = _enum("model", "mark_law", items.get("mark_law", "uniform_signs").strip(),
-                 ("uniform_signs", "uniform", "gaussian", "constant", "discrete"))
-    if kind == "uniform_signs":
-        return UniformSigns()
-    if kind == "uniform":
-        lo = _get(items, "model", "mark_lo", _as_float, required=True)
-        hi = _get(items, "model", "mark_hi", _as_float, required=True)
-        return UniformInterval(lo, hi)
-    if kind == "gaussian":
-        mu = _get(items, "model", "mark_mu", _as_float, default=0.0)
-        sigma = _get(items, "model", "mark_sigma", _as_float, default=1.0)
-        return GaussianMarks(mu, sigma)
-    if kind == "constant":
-        return ConstantMark(_get(items, "model", "mark_value", _as_float,
-                                 default=1.0))
-    atoms = _get(items, "model", "mark_atoms", _as_float_list, required=True)
-    weights = _get(items, "model", "mark_weights", _as_float_list, required=True)
-    return DiscreteMarks(atoms, weights)
+    return Distributed(p["delay_atoms"], p["delay_weights"])
 
 
 def _build_model(items: dict) -> ModelSpec:
-    _check_keys("model", items, _MODEL_KEYS)
-    name = _enum("model", "name",
-                 _get(items, "model", "name", _as_str, required=True),
-                 ("linear_retarded", "neutral_linear", "jump_linear"))
-    tau = _get(items, "model", "tau", _as_float, required=True)
+    p = _parse("model", items, {"name": (_MODELS, _REQUIRED)})
+    name, tau, dim = p["name"], p["tau"], p["dim"]
     if tau <= 0:
         _fail("model", "tau must be positive")
-    dim = _get(items, "model", "dim", _as_int, default=1)
-    a = _get(items, "model", "a", _as_float, required=True)
-    b_lag = _get(items, "model", "b_lag", _as_float, required=True)
     try:
-        delay = _build_delay(items, tau)
+        delay = _build_delay(p, tau)
+        if name == "jump_linear":
+            cls, keys = _MARK_LAWS[p["mark_law"]]
+            return jump_linear(p["a"], p["b_lag"], p["jump_scale"], p["intensity"],
+                               cls(*(p[k] for k in keys)), delay, tau, dim=dim,
+                               saturating=p["saturating"])
+        sigma0 = p["sigma0"]
+        sig = sigma0[0] if len(sigma0) == 1 else np.array(sigma0)
         if name == "linear_retarded":
-            sigma0 = _get(items, "model", "sigma0", _as_float_list, required=True)
-            sig = sigma0[0] if len(sigma0) == 1 else np.array(sigma0)
-            return linear_retarded(a, b_lag, sig, delay, tau, dim=dim)
-        if name == "neutral_linear":
-            sigma0 = _get(items, "model", "sigma0", _as_float_list, required=True)
-            sig = sigma0[0] if len(sigma0) == 1 else np.array(sigma0)
-            kappa = _get(items, "model", "kappa", _as_float, required=True)
-            return neutral_linear(kappa, delay, a, b_lag, sig, tau, dim=dim)
-        jump_scale = _get(items, "model", "jump_scale", _as_float, required=True)
-        intensity = _get(items, "model", "intensity", _as_float, required=True)
-        saturating = _get(items, "model", "saturating", _as_bool, default=False)
-        return jump_linear(a, b_lag, jump_scale, intensity, _build_mark_law(items),
-                           delay, tau, dim=dim, saturating=saturating)
+            return linear_retarded(p["a"], p["b_lag"], sig, delay, tau, dim=dim)
+        return neutral_linear(p["kappa"], delay, p["a"], p["b_lag"], sig, tau, dim=dim)
     except ConfigError:
         raise
     except Exception as exc:  # domain errors from the builders
@@ -323,12 +342,7 @@ def _build_model(items: dict) -> ModelSpec:
 
 
 def _build_sim(items: dict) -> SimConfig:
-    _check_keys("sim", items, set(_SIM_PARSERS))
-    parsers = list(_SIM_PARSERS.items())
-    given = {key: _get(items, "sim", key, conv, required=True)
-             for key, conv in parsers[:3]}
-    given.update((key, _get(items, "sim", key, conv))
-                 for key, conv in parsers[3:] if key in items)
+    given = _parse("sim", items, _SIM)
     given["master_seed"] = given.pop("seed")
     try:
         return SimConfig(**given)
@@ -347,60 +361,39 @@ def _vector(raw_tuple, dim, section, key):
 
 def _build_segment(items: dict, section: str, tau: float | None, dim: int,
                    kind: SegmentKind, base_dir: str) -> Segment:
-    _check_keys(section, items, _INITIAL_KEYS)
-    seg_kind = _enum(section, "kind",
-                     _get(items, section, "kind", _as_str, required=True),
-                     ("constant", "linear", "sine", "csv"))
+    p = _parse(section, items, {"kind": (_SEGMENTS, _REQUIRED)})
+    seg_kind = p["kind"]
     if seg_kind == "csv":
-        rel = _get(items, section, "path", _as_str, required=True)
-        path = rel if os.path.isabs(rel) else os.path.join(base_dir, rel)
-        if not os.path.exists(path):
+        path = os.path.join(base_dir, p["path"])  # an absolute path stays as it is
+        if not os.path.isfile(path):
             _fail(section, f"segment file not found: {path}")
         seg = segment_from_csv(path, kind)
         if tau is not None and abs(seg.tau - tau) > 1e-9 * max(1.0, tau):
             _fail(section, f"segment window {seg.tau!r} does not match tau={tau!r}")
         return seg
-    tau_here = _get(items, section, "tau", _as_float, default=tau)
+    tau_here = tau if p["tau"] is None else p["tau"]
     if tau_here is None:
         _fail(section, "key 'tau' is required when no [model] provides one")
     if tau is not None and abs(tau_here - tau) > 1e-9 * max(1.0, tau):
         _fail(section, f"tau={tau_here!r} conflicts with the model's {tau!r}")
     if tau_here <= 0:
         _fail(section, "tau must be positive")
-    points = _get(items, section, "points", _as_int, default=101)
+    points = p["points"]
     if points < 2:
         _fail(section, "points must be >= 2")
     grid = np.linspace(-tau_here, 0.0, points)
 
     if seg_kind == "constant":
-        v = _vector(_get(items, section, "value", _as_float_list, required=True),
-                    dim, section, "value")
-        vals = np.tile(v, (points, 1))
+        vals = np.tile(_vector(p["value"], dim, section, "value"), (points, 1))
     elif seg_kind == "linear":
-        lo = _vector(_get(items, section, "start", _as_float_list, required=True),
-                     dim, section, "start")
-        hi = _vector(_get(items, section, "end", _as_float_list, required=True),
-                     dim, section, "end")
+        lo = _vector(p["start"], dim, section, "start")
+        hi = _vector(p["end"], dim, section, "end")
         w = (grid + tau_here) / tau_here
         vals = lo[None, :] + w[:, None] * (hi - lo)[None, :]
-    else:  # sine: value(theta) = offset + amp * sin(freq * theta + phase)
-        amp = _get(items, section, "amp", _as_float, default=1.0)
-        freq = _get(items, section, "freq", _as_float, default=1.0)
-        phase = _get(items, section, "phase", _as_float, default=0.0)
-        offset = _get(items, section, "offset", _as_float, default=0.0)
-        vals = np.tile(offset + amp * np.sin(freq * grid + phase)[:, None],
-                       (1, dim))
+    else:
+        wave = p["offset"] + p["amp"] * np.sin(p["freq"] * grid + p["phase"])
+        vals = np.tile(wave[:, None], (1, dim))
     return Segment(kind, grid, vals)
-
-
-def _build_task(items: dict) -> tuple[str, dict]:
-    name = _enum("task", "name",
-                 _get(items, "task", "name", _as_str, required=True), TASK_NAMES)
-    keys = _TASKS[name]
-    _check_keys("task", items, {"name", *keys})
-    return name, {key: _get(items, "task", key, conv, required=default is _REQUIRED,
-                            default=default)
-                  for key, (conv, default) in keys.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -433,7 +426,11 @@ def load_config(path) -> ExperimentConfig:
     if "task" not in cp:
         raise ConfigError("missing [task] section")
 
-    task, params = _build_task(dict(cp["task"]))
+    task_items = dict(cp["task"])
+    params = _parse("task", task_items, {"name": (_TASKS, _REQUIRED)})
+    task = params.pop("name")
+    if "clip" in task_items and params["functional"] != "clipped_sup_norm":
+        _fail("task", "key 'clip' is read only with functional = clipped_sup_norm")
 
     model = sim = None
     needs_engine = task in _SIM_TASKS
@@ -444,13 +441,16 @@ def load_config(path) -> ExperimentConfig:
             raise ConfigError(f"task '{task}' needs a [sim] section")
     if "model" in cp:
         model = _build_model(dict(cp["model"]))
+        # the checks that read these keys refuse every other model class
+        for key, cls in (("p_exp", ModelClass.RETARDED), ("mark_samples", ModelClass.JUMP)):
+            if key in task_items and model.model_class is not cls:
+                _fail("task", f"key '{key}' is read only for a {cls.value} model")
     if "sim" in cp:
         sim = _build_sim(dict(cp["sim"]))
 
     base_dir = os.path.dirname(os.path.abspath(path))
     xi = eta = None
-    needs_initial = needs_engine or task == "skorohod"
-    if needs_initial:
+    if needs_engine or task == "skorohod":
         if "initial" not in cp:
             raise ConfigError(f"task '{task}' needs an [initial] section")
         if task == "skorohod":
@@ -473,19 +473,10 @@ def load_config(path) -> ExperimentConfig:
         elif "initial2" in cp:
             raise ConfigError(f"task '{task}' does not take [initial2]")
 
-    out_dir = None
-    formats = ("csv", "json")
-    if "output" in cp:
-        items = dict(cp["output"])
-        _check_keys("output", items, _OUTPUT_KEYS)
-        out_dir = _get(items, "output", "dir", _as_str)
-        if out_dir is not None and not os.path.isabs(out_dir):
-            out_dir = os.path.join(base_dir, out_dir)
-        raw = _get(items, "output", "formats", _as_str)
-        if raw is not None:
-            formats = tuple(s.strip() for s in raw.split(",") if s.strip())
-            for f in formats:
-                _enum("output", "formats", f, ("csv", "json"))
+    out_dir = _parse("output", dict(cp["output"]) if "output" in cp else {},
+                     {"dir": (_as_str, None)})["dir"]
+    if out_dir is not None:
+        out_dir = os.path.join(base_dir, out_dir)  # an absolute dir stays as it is
 
     return ExperimentConfig(task, params, model, sim, xi, eta, out_dir,
-                            formats, digest, os.path.abspath(path))
+                            digest, os.path.abspath(path))

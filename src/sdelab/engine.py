@@ -72,6 +72,8 @@ class SimConfig:
     cap: paths crossing it are flagged and truncated, not raised.
     ``threads`` selects nothing (every runner works in one thread); it is
     checked and recorded in run manifests, so configs that set it still run.
+    ``segment_grid_points`` is for :func:`extract_segment` (and its left
+    variant) only; no CLI task reads it, so experiment files cannot set it.
     """
 
     step: float
@@ -355,15 +357,16 @@ def sample_poisson_measure(intensity: float, mark_law, horizon: float,
         raise DomainError("intensity must be >= 0")
     if intensity == 0.0:
         return np.empty(0), np.empty(0)
-    # blocks of 64 gaps until one crosses the horizon; np.cumsum adds the
-    # gaps one at a time, as a sequential ``t += g`` does
+    # blocks of 64, 128, 256, ... gaps until one crosses the horizon; np.cumsum
+    # adds the gaps one at a time, as a sequential ``t += g`` does
     epochs = np.empty(0)
-    start = 0
+    start, size = 0, 64
     while epochs.size == start:
-        gaps = -np.log(stream.epoch_uniforms(start, 64)) / intensity
+        gaps = -np.log(stream.epoch_uniforms(start, size)) / intensity
         ts = np.cumsum(np.concatenate(([epochs[-1] if start else 0.0], gaps)))[1:]
         epochs = np.concatenate([epochs, ts[ts <= horizon]])
-        start += 64
+        start += size
+        size *= 2
     marks = mark_law.from_uniform(stream.mark_uniforms(0, epochs.size)) if epochs.size else np.empty(0)
     return epochs, np.asarray(marks, dtype=float)
 

@@ -418,6 +418,10 @@ def jump_linear(a: float, b_lag: float, jump_scale: float, intensity: float,
     coordinate; with ``saturating=True`` it is modulated by ``1 + |phi(0)|``.
     The compensator and mark second moment are exact in the mark law's
     moments.
+
+    Memory: every Poisson epoch is a node of its path's table, which spans
+    the whole horizon, so a path holds ``intensity * horizon`` nodes (a time
+    and ``dim`` floats each) beside its ``horizon / step`` grid nodes.
     """
     if a <= 0:
         raise DomainError("need a > 0")

@@ -6,6 +6,7 @@ machine-readable error line, manifest completeness, and artifact
 determinism across seeds and thread counts.
 """
 
+import dataclasses
 import hashlib
 import json
 import re
@@ -18,7 +19,7 @@ from sdelab import ConfigError, ModelClass, Segment, SimConfig, razumikhin_gamma
 from sdelab import cli
 from sdelab.cli import main
 from sdelab.config import TASK_NAMES, load_config
-from sdelab.models import Distributed, DiscreteMarks, PointVariable
+from sdelab.models import Distributed, DiscreteMarks, PointConstant, PointVariable
 from sdelab.paths import SegmentKind, segment_to_csv
 
 
@@ -122,7 +123,9 @@ class TestLoadConfig:
         assert isinstance(cfg.xi, Segment)
         assert np.all(cfg.xi.values == 1.5)
         assert cfg.eta is None
-        assert cfg.formats == ("csv", "json")
+        assert [f.name for f in dataclasses.fields(cfg)] == [
+            "task", "task_params", "model", "sim", "xi", "eta", "out_dir",
+            "config_sha256", "source_path"]
         assert cfg.out_dir == str(tmp_path / "out")
         assert cfg.source_path == path
         raw = open(path, "rb").read()
@@ -269,15 +272,13 @@ class TestLoadConfig:
         with pytest.raises(ConfigError, match=r"needs an \[initial2\]"):
             load_config(write_config(tmp_path, couple, name="c.ini"))
 
-    def test_output_formats_vocabulary(self, tmp_path):
+    def test_output_takes_only_dir(self, tmp_path):
+        # every task writes all of its formats: there is no format list
         text = SIMULATE_EQUILIBRIUM.replace("dir = out",
-                                            "dir = out\nformats = csv, xml")
-        with pytest.raises(ConfigError, match="xml"):
+                                            "dir = out\nformats = csv, json")
+        with pytest.raises(ConfigError) as err:
             load_config(write_config(tmp_path, text))
-        text = SIMULATE_EQUILIBRIUM.replace("dir = out",
-                                            "dir = out\nformats = csv")
-        cfg = load_config(write_config(tmp_path, text, name="d.ini"))
-        assert cfg.formats == ("csv",)
+        assert str(err.value) == "[output] unknown key(s) formats; allowed: dir"
 
     def test_overrides_replace_seed_threads_and_outdir(self, tmp_path):
         cfg = load_config(write_config(tmp_path, SIMULATE_EQUILIBRIUM))
@@ -372,6 +373,152 @@ def test_every_task_has_a_runner_and_no_runner_lacks_a_task():
 
 
 # ---------------------------------------------------------------------------
+# per-variant vocabularies: each variant accepts exactly the keys it reads
+# ---------------------------------------------------------------------------
+
+MODEL_KEYS = {  # model name -> its own keys, besides tau, dim, a, b_lag and delay
+    "linear_retarded": {"sigma0": "0.5"},
+    "neutral_linear": {"sigma0": "0.5", "kappa": "0.25"},
+    "jump_linear": {"jump_scale": "0.3", "intensity": "2", "saturating": "no"},
+}
+DELAY_KEYS = {
+    "point": {"lag": "0.5"},
+    "variable_sin": {"delay_base": "0.5", "delay_amp": "0.2", "delay_freq": "2"},
+    "distributed": {"delay_atoms": "-1 -0.5", "delay_weights": "0.5 0.5"},
+}
+MARK_KEYS = {
+    "uniform_signs": {},
+    "uniform": {"mark_lo": "-1", "mark_hi": "1"},
+    "gaussian": {"mark_mu": "0", "mark_sigma": "1"},
+    "constant": {"mark_value": "1"},
+    "discrete": {"mark_atoms": "-1 1", "mark_weights": "0.5 0.5"},
+}
+SEGMENT_KEYS = {
+    "constant": {"tau": "1", "points": "11", "value": "1"},
+    "linear": {"tau": "1", "points": "11", "start": "-1", "end": "1"},
+    "sine": {"tau": "1", "points": "11", "amp": "1", "freq": "2", "phase": "0",
+             "offset": "0.5"},
+    "csv": {"path": "history.csv"},
+}
+# a neutral map cannot read a time-variable lag, so that pair never loads
+MODEL_VARIANTS = [(name, delay, mark)
+                  for name in MODEL_KEYS for delay in DELAY_KEYS
+                  for mark in (MARK_KEYS if name == "jump_linear" else [None])
+                  if (name, delay) != ("neutral_linear", "variable_sin")]
+
+
+def model_items(name, delay, mark):
+    items = {"name": name, "tau": "1", "dim": "1", "a": "3", "b_lag": "1",
+             "delay": delay, **DELAY_KEYS[delay], **MODEL_KEYS[name]}
+    if mark is not None:
+        items.update(mark_law=mark, **MARK_KEYS[mark])
+    return items
+
+
+def section(name, items):
+    return f"[{name}]\n" + "".join(f"{k} = {v}\n" for k, v in items.items())
+
+
+def foreign_keys(own, *tables):
+    """Every key some variant in ``tables`` reads and ``own`` does not."""
+    every = {key: value for table in tables for variant in table.values()
+             for key, value in variant.items()}
+    every.update(mark_law="gaussian")
+    return {key: value for key, value in every.items() if key not in own}
+
+
+@pytest.mark.parametrize("name, delay, mark", MODEL_VARIANTS,
+                         ids=["-".join(filter(None, v)) for v in MODEL_VARIANTS])
+def test_model_variant_takes_exactly_its_keys(tmp_path, name, delay, mark):
+    items = model_items(name, delay, mark)
+    task = "[task]\nname = check\n"
+    cfg = load_config(write_config(tmp_path, section("model", items) + task))
+    assert isinstance(cfg.model.delay, {"point": PointConstant, "variable_sin": PointVariable,
+                                        "distributed": Distributed}[delay])
+    foreign = foreign_keys(items, MODEL_KEYS, DELAY_KEYS, MARK_KEYS)
+    assert foreign
+    for key, value in foreign.items():
+        path = write_config(tmp_path, section("model", {**items, key: value}) + task,
+                            name=f"{key}.ini")
+        with pytest.raises(ConfigError, match=rf"^\[model\] unknown key\(s\) {key};"):
+            load_config(path)
+
+
+@pytest.mark.parametrize("kind", list(SEGMENT_KEYS))
+def test_segment_kind_takes_exactly_its_keys(tmp_path, kind):
+    grid = np.linspace(-1.0, 0.0, 11)
+    segment_to_csv(Segment(SegmentKind.CONTINUOUS_LINEAR, grid, grid[:, None]),
+                   str(tmp_path / "history.csv"))
+    items = {"kind": kind, **SEGMENT_KEYS[kind]}
+    head = drop_section(SIMULATE_EQUILIBRIUM, "initial")
+    cfg = load_config(write_config(tmp_path, head + section("initial", items)))
+    assert cfg.xi.grid.size == 11
+    for key, value in foreign_keys(items, SEGMENT_KEYS).items():
+        path = write_config(tmp_path, head + section("initial", {**items, key: value}),
+                            name=f"{key}.ini")
+        with pytest.raises(ConfigError, match=rf"^\[initial\] unknown key\(s\) {key};"):
+            load_config(path)
+
+
+@pytest.mark.parametrize("text, allowed", [
+    (section("model", model_items("linear_retarded", "point", None)),
+     "a, b_lag, delay, dim, lag, name, sigma0, tau"),
+    (section("model", model_items("jump_linear", "point", "uniform_signs")),
+     "a, b_lag, delay, dim, intensity, jump_scale, lag, mark_law, name, saturating, tau"),
+], ids=["retarded-point", "jump-point-uniform_signs"])
+def test_unknown_key_lists_the_variant_vocabulary(tmp_path, text, allowed):
+    path = write_config(tmp_path, text + "typo = 1\n[task]\nname = check\n")
+    with pytest.raises(ConfigError) as err:
+        load_config(path)
+    assert str(err.value) == f"[model] unknown key(s) typo; allowed: {allowed}"
+
+
+def test_constant_segment_vocabulary_is_four_keys(tmp_path):
+    text = SIMULATE_EQUILIBRIUM.replace("value = 1.5", "value = 1.5\ntypo = 1")
+    with pytest.raises(ConfigError) as err:
+        load_config(write_config(tmp_path, text))
+    assert str(err.value) == ("[initial] unknown key(s) typo; "
+                              "allowed: kind, points, tau, value")
+
+
+def test_segment_grid_points_is_not_a_sim_key(tmp_path):
+    text = SIMULATE_EQUILIBRIUM.replace("seed = 7", "seed = 7\nsegment_grid_points = 11")
+    with pytest.raises(ConfigError, match=r"^\[sim\] unknown key\(s\) segment_grid_points;"):
+        load_config(write_config(tmp_path, text))
+
+
+@pytest.mark.parametrize("functional", ["value_at_zero", "clipped_sup_norm"])
+@pytest.mark.parametrize("task", ["mixing", "invariant"])
+def test_clip_only_with_the_clipped_functional(tmp_path, task, functional):
+    text = SIMULATE_EQUILIBRIUM.replace(
+        "name = simulate\n", f"name = {task}\nfunctional = {functional}\nclip = 3\n"
+        + ("burn_in = 1\n" if task == "invariant" else ""))
+    if task == "mixing":
+        text += "[initial2]\nkind = constant\nvalue = 0\n"
+    path = write_config(tmp_path, text)
+    if functional == "clipped_sup_norm":
+        assert load_config(path).task_params["clip"] == 3.0
+    else:
+        with pytest.raises(ConfigError) as err:
+            load_config(path)
+        assert str(err.value) == ("[task] key 'clip' is read only with "
+                                  "functional = clipped_sup_norm")
+
+
+@pytest.mark.parametrize("model", ["retarded", "neutral", "jump"])
+@pytest.mark.parametrize("key, reader", [("p_exp", "retarded"), ("mark_samples", "jump")])
+def test_check_keys_only_for_the_class_that_reads_them(tmp_path, key, reader, model):
+    models = {"retarded": RETARDED_MODEL, "neutral": NEUTRAL_MODEL, "jump": JUMP_MODEL}
+    path = write_config(tmp_path, f"{models[model]}[task]\nname = check\n{key} = 3\n")
+    if model == reader:
+        assert load_config(path).task_params[key] == 3
+    else:
+        with pytest.raises(ConfigError) as err:
+            load_config(path)
+        assert str(err.value) == f"[task] key '{key}' is read only for a {reader} model"
+
+
+# ---------------------------------------------------------------------------
 # command-line runner
 # ---------------------------------------------------------------------------
 
@@ -385,6 +532,8 @@ ERROR_LINE = re.compile(
 
 
 RETARDED_MODEL = "[model]\nname = linear_retarded\na = 3\nb_lag = 1\nsigma0 = 0.5\ntau = 1\n"
+NEUTRAL_MODEL = ("[model]\nname = neutral_linear\nkappa = 0.25\na = 3\nb_lag = 0.5\n"
+                 "sigma0 = 0.5\ntau = 1\n")
 JUMP_MODEL = ("[model]\nname = jump_linear\na = 3\nb_lag = 1\njump_scale = 0.3\n"
               "intensity = 2\nmark_law = gaussian\ntau = 1\n")
 RUN = ("[sim]\nstep = 0.05\nhorizon = 4\nseed = 7\nensemble = 8\n"

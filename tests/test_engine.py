@@ -16,6 +16,7 @@ from sdelab import (
     Segment,
     SegmentKind,
     SimConfig,
+    UniformInterval,
     UniformSigns,
     evaluate,
     extract_segment,
@@ -467,6 +468,28 @@ def test_epochs_equal_the_sequential_draw():
         ref = _reference_epochs(intensity, horizon, NoiseStream(seed, path))
         assert epochs.size == ref.size == marks.size
         assert np.array_equal(epochs, ref)
+
+
+# expected counts on both sides of 64 and of the doubled blocks' ends, 192 and 448
+@pytest.mark.parametrize("lam_t", [0.3, 10.0, 63.5, 64.0, 64.5, 191.0, 193.0,
+                                   447.0, 449.0, 5_000.0])
+def test_doubling_blocks_keep_the_64_gap_epochs(lam_t):
+    law = UniformInterval(-1.0, 2.0)
+    for path in range(5):
+        stream = NoiseStream(41, path)
+        epochs, marks = sample_poisson_measure(lam_t / 10.0, law, 10.0, stream)
+        ref = _reference_epochs(lam_t / 10.0, 10.0, stream)
+        assert epochs.tobytes() == ref.tobytes()
+        assert marks.tobytes() == law.from_uniform(stream.mark_uniforms(0, ref.size)).tobytes()
+
+
+def test_poisson_epochs_draw_in_linear_time():
+    # 4e5 epochs on one path; blocks of 64 took over a second here
+    t0 = time.perf_counter()
+    epochs, marks = sample_poisson_measure(4_000.0, UniformSigns(), 100.0, NoiseStream(5, 0))
+    elapsed = time.perf_counter() - t0
+    assert abs(epochs.size - 400_000) < 5 * math.sqrt(400_000) and marks.size == epochs.size
+    assert elapsed < 0.5
 
 
 def test_node_table_builds_in_linear_time():

@@ -2,6 +2,7 @@
 
 import json
 import pathlib
+import re
 
 import pytest
 
@@ -36,3 +37,14 @@ def test_sample_runs(path, tmp_path):
     assert manifest["status"] == "ok"
     for name in manifest["artifacts"]:
         assert (tmp_path / "out" / name).exists()
+
+
+def test_readme_ini_example_loads(tmp_path):
+    readme = (CONFIG_DIR.parent / "README.md").read_text(encoding="utf-8")
+    blocks = re.findall(r"^```ini\n(.*?)^```", readme, re.M | re.S)
+    assert len(blocks) == 1
+    path = tmp_path / "readme.ini"
+    path.write_text(blocks[0], encoding="utf-8")
+    cfg = load_config(path)
+    assert cfg.task == "mixing" and cfg.eta is not None
+    assert cfg.out_dir == str(tmp_path / "out" / "mixing")
