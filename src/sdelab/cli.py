@@ -62,7 +62,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="override [sim] seed")
         sp.add_argument("--threads", type=int, default=None,
                         help="override [sim] threads; recorded in the manifest, "
-                             "selects nothing (every route runs in one thread)")
+                             "selects nothing (every ensemble runs in one thread)")
         sp.add_argument("--output", default=None, metavar="DIR",
                         help="override [output] dir")
         if name == "check":

@@ -34,7 +34,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .engine import SimConfig
-from .errors import ConfigError
+from .errors import ConfigError, DomainError
 from .models import (
     ConstantMark,
     DiscreteMarks,
@@ -367,7 +367,10 @@ def _build_segment(items: dict, section: str, tau: float | None, dim: int,
         path = os.path.join(base_dir, p["path"])  # an absolute path stays as it is
         if not os.path.isfile(path):
             _fail(section, f"segment file not found: {path}")
-        seg = segment_from_csv(path, kind)
+        try:
+            seg = segment_from_csv(path, kind)
+        except DomainError as exc:
+            _fail(section, str(exc))
         if tau is not None and abs(seg.tau - tau) > 1e-9 * max(1.0, tau):
             _fail(section, f"segment window {seg.tau!r} does not match tau={tau!r}")
         return seg

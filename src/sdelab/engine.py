@@ -22,15 +22,11 @@ flagged, never raised.
 
 The continuous classes advance by one Euler step, :func:`_euler_step`,
 which calls the model's own coefficient maps on a segment view with a rows
-axis.  This per-path engine steps one path's history with it and the batch
-kernel in :mod:`sdelab.ensemble` steps a block of rows, so both routes run
-the same arithmetic, along with the same guard predicate and neutral
-newest-point solver.  A jump path advances node by node with
-:func:`_jump_step`; the jump kernel takes the grid steps of a block of
-paths together with the same arithmetic, one view head per row, and
-finishes a path's steps that hold epochs with :func:`_jump_step` itself on
-a single head.  The per-path route serves hand-rolled models, whose
-coefficient maps read one path.
+axis; a jump path advances node by node with :func:`_jump_step`.  The
+kernels in :mod:`sdelab.ensemble` take these same steps on a block of paths
+(or, for a hand-rolled model, one path at a time), with the same guard
+predicate and neutral newest-point solver, so :func:`simulate` is the
+reference their ensembles reproduce.
 """
 
 from __future__ import annotations
@@ -643,7 +639,7 @@ def extract_segment_left(traj: Trajectory, t: float, cfg: SimConfig | None = Non
 def trajectory_to_csv(traj: Trajectory, path):
     """Write ``t,v1,...,vn,is_jump`` rows including the initial window."""
     with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
+        w = csv.writer(fh, lineterminator="\n")
         w.writerow(["t"] + [f"v{i + 1}" for i in range(traj.dim)] + ["is_jump"])
         for t, row, flag in zip(traj.times, traj.states, traj.jump_flags):
             w.writerow([f"{t:.17g}"] + [f"{x:.17g}" for x in row] + [int(flag)])

@@ -1,47 +1,40 @@
-"""Ensemble runners behind the rate and ergodicity estimators.
+"""Ensemble kernels behind the rate and ergodicity estimators.
 
-Two routes produce the same per-path numbers:
+:func:`run_ensemble` checks the initial segments (window, dimension, kind)
+once, as :func:`~sdelab.engine.simulate` does, and runs a model on the
+kernel of its class: the continuous kernel (retarded and neutral classes)
+steps on rolling window buffers; the jump kernel keeps one head per path
+on its node table, steps every head one grid node at a time, and finishes
+alone only the steps of a path that hold one of its epochs.
+:func:`supports_batch` decides only how a kernel calls the coefficient
+maps: a built-in family's maps read a block of rows, so its paths step
+together; a hand-rolled model's maps read one path, so the continuous
+kernel runs one path at a time and the jump kernel steps each row alone.
+``cfg.threads`` selects nothing here.
 
-* vectorized kernels that step all paths of a block together -- used for
-  the built-in families (those carrying a descriptor).  The continuous
-  classes step on a rolling window buffer.  The jump class keeps one head
-  per path on its node table, steps every head one grid node at a time, and
-  finishes alone only the steps of a path that hold one of its epochs;
-* a generic fallback that simulates paths one after another through
-  :func:`sdelab.engine.simulate` -- used for hand-rolled coefficients only.
-  ``cfg.threads`` selects nothing here or in the kernels.
+Every path's noise is addressed by ``(master_seed, path_index, step,
+channel)``, and the kernels advance every path by the steps
+:func:`~sdelab.engine.simulate` takes (:func:`~sdelab.engine._euler_step`,
+and :func:`~sdelab.engine._jump_step` through the one
+:class:`~sdelab.engine._CadlagView` for the jump class), with its guard
+predicate and neutral newest-point solver, so they reproduce its paths
+bitwise.  One divergence rule holds: a path (or coupled pair) is diverged
+from its first step out of the guard, and no kernel shows it to an
+observer at or after that step.  :func:`refuse_divergence` is the one rule
+by which estimators refuse an ensemble in which more than 1% of the paths
+diverged.
 
-Before it picks a route, :func:`run_ensemble` checks the initial segments
-(window, dimension, kind) once, as :func:`~sdelab.engine.simulate` does.
-
-Because every path's noise is addressed by ``(master_seed, path_index, step,
-channel)``, the two routes consume identical randomness, and for the
-built-ins they produce bitwise-identical states: both advance every path by
-the same steps of :mod:`sdelab.engine` (:func:`~sdelab.engine._euler_step`,
-and :func:`~sdelab.engine._jump_step` for the jump class), which call the
-model's own coefficient maps on a segment view -- here over the block of
-all paths; jump paths of both routes through the one
-:class:`~sdelab.engine._CadlagView`, which finds its fixed-offset reads up front.
-Both routes also share one guard predicate, one newest-point solver for the
-neutral class, and one divergence rule -- a path (or coupled pair) is
-diverged from its first step out of the guard, and no runner shows it to an
-observer at or after that step.  The continuous kernel drops a diverged
-path's rows from its block; the jump kernel and the per-path route stop
-showing it.  :func:`refuse_divergence` is the one rule by which estimators
-refuse an ensemble in which more than 1% of the paths diverged.
-
-Estimators talk to the runners through observers: an observer is notified
+Estimators talk to the kernels through observers: an observer is notified
 with the trailing ``tau``-window of the state after every step and reduces it
 immediately (record at chosen steps, accumulate time averages), so long
 horizons never materialize full ensembles in memory.  Observers have one
-entry point, ``see_path(paths, step, *wins)``: ``paths`` is one path (an
-int) with ``(W, n)`` windows, or a block of live paths (a slice or an index
-array) with ``(rows, W, n)`` windows.  Coupled runs pass two windows, one
-per initial segment.  The per-path route calls it once per path and step;
-the kernels once per step and block, a one-row jump block with its path
-as an int.  Jump windows differ in length from path to path, so the jump
-kernel left-pads each to the block's widest by repeating its oldest node,
-which leaves sup and newest-point reductions unchanged.
+entry point, ``see_path(paths, step, *wins)``, called once per step and
+block: ``paths`` is one path (an int) with ``(W, n)`` windows, or a block
+of live paths (a slice or an index array) with ``(rows, W, n)`` windows.
+Coupled runs pass two windows, one per initial segment.  Jump windows
+differ in length from path to path, so the jump kernel left-pads each to
+the block's widest by repeating its oldest node, which leaves sup and
+newest-point reductions unchanged.
 """
 
 from __future__ import annotations
@@ -73,7 +66,6 @@ from .engine import (
     _node_marks,
     _out_of_guard,
     sample_poisson_measure,
-    simulate,
     steps_per_window,
 )
 from .noise import NoiseStream
@@ -92,6 +84,8 @@ __all__ = [
 # noise, so wide ensembles take shorter chunks instead of more memory
 _CHUNK_STEPS = 1024
 _CHUNK_PATH_STEPS = 4096 * _CHUNK_STEPS
+# an IntegralAccumulator keeps its sums in this many blocks of records
+_N_BLOCKS = 16
 
 
 class WindowRecorder:
@@ -99,10 +93,10 @@ class WindowRecorder:
 
     ``fns`` maps a name to a callable taking the trailing window (shape
     ``(..., W, n)``, or two such windows for coupled runs) and returning a
-    scalar per path.  A runner calls ``see_path(paths, step, *wins)`` with
+    scalar per path.  A kernel calls ``see_path(paths, step, *wins)`` with
     one path (an int) and ``(W, n)`` windows, or with a block of paths (a
     slice or an index array) and ``(rows, W, n)`` windows.  Entries at and
-    after a path's first diverged step stay NaN: no runner shows them.
+    after a path's first diverged step stay NaN: no kernel shows them.
     """
 
     def __init__(self, record_steps, fns, n_paths):
@@ -123,18 +117,19 @@ class WindowRecorder:
 class IntegralAccumulator:
     """Accumulate a strided time average of one window reduction.
 
-    Sums are kept per path and per contiguous time block (``n_blocks`` blocks
-    of the strided record sequence), which is enough to batch-mean either
-    over ensemble members or over time afterwards without storing series.
-    ``see_path`` takes ``paths`` and windows as :class:`WindowRecorder`
-    does; runners show live paths only, so every value shown is counted.
+    Sums are kept per path and per contiguous time block (``_N_BLOCKS``
+    blocks of the strided record sequence, or one per record if fewer),
+    which is enough to batch-mean either over ensemble members or over time
+    afterwards without storing series.  ``see_path`` takes ``paths`` and
+    windows as :class:`WindowRecorder` does; kernels show live paths only,
+    so every value shown is counted.
     """
 
-    def __init__(self, burn_steps, stride, fn, n_paths, n_records, n_blocks=16):
+    def __init__(self, burn_steps, stride, fn, n_paths, n_records):
         self.burn_steps = int(burn_steps)
         self.stride = max(1, int(stride))
         self.fn = fn
-        n_blocks = max(1, min(int(n_blocks), max(1, int(n_records))))
+        n_blocks = max(1, min(_N_BLOCKS, int(n_records)))
         self.block_len = max(1, -(-int(n_records) // n_blocks))
         self.n_blocks = n_blocks
         self.block_sums = np.zeros((n_paths, n_blocks))
@@ -161,7 +156,7 @@ class IntegralAccumulator:
 
 
 class EnsembleOutcome:
-    """Bookkeeping shared by both engines: who diverged, and when."""
+    """Bookkeeping of one ensemble run: who diverged, and when."""
 
     def __init__(self, n_paths):
         self.n_paths = n_paths
@@ -188,9 +183,10 @@ def refuse_divergence(outcome: EnsembleOutcome, what: str) -> None:
 
 
 def supports_batch(model) -> bool:
-    """Whether ``run_ensemble`` steps the model's paths together: true for
-    the built-in families (by their descriptor), whose coefficient maps
-    read a block of rows; hand-rolled models run path by path."""
+    """Whether the model's coefficient maps read a block of rows: true for
+    the built-in families (by their descriptor).  ``run_ensemble`` then
+    steps a block of paths per call of the maps; a hand-rolled model's maps
+    read one path, and the kernels call them one path at a time."""
     return isinstance(model.descriptor, (LinearRetardedDescriptor, NeutralLinearDescriptor,
                                          JumpLinearDescriptor))
 
@@ -199,110 +195,113 @@ def run_ensemble(model, xi, cfg: SimConfig, n_paths: int, observer,
                  path_offset: int = 0, eta: Segment | None = None) -> EnsembleOutcome:
     """Run ``n_paths`` paths (or coupled pairs when ``eta`` is given),
     feeding every post-step window to ``observer``.  The initial segments
-    are checked as :func:`simulate` checks them, whatever the route."""
+    are checked as :func:`~sdelab.engine.simulate` checks them."""
     if n_paths < 1:
         raise DomainError("need at least one path")
-    for seg in [xi] if eta is None else [xi, eta]:
+    starts = [xi] if eta is None else [xi, eta]
+    for seg in starts:
         _check_initial(model, seg)
-    if not supports_batch(model):
-        return _run_generic(model, xi, cfg, n_paths, observer, path_offset, eta)
-    if model.model_class is ModelClass.JUMP:
-        return _run_jump(model, xi, cfg, n_paths, observer, path_offset, eta)
-    return _run_batch(model, xi, cfg, n_paths, observer, path_offset, eta)
-
-
-# ---------------------------------------------------------------------------
-# batch kernel (continuous built-ins)
-# ---------------------------------------------------------------------------
-
-def _run_batch(model, xi, cfg, n_paths, observer, path_offset, eta):
-    neutral = model.model_class is ModelClass.NEUTRAL
-    h = cfg.step
-    tau = model.tau
-    n = model.dim
-    m = model.brownian_dim
-    k_hist = steps_per_window(tau, h, "tau")
-    n_steps = steps_per_window(cfg.horizon, h, "horizon")
-
-    chunk = max(1, min(_CHUNK_STEPS, _CHUNK_PATH_STEPS // n_paths))
-    cap = k_hist + 1 + chunk
-
-    def init_buf(seg):
-        buf = np.empty((n_paths, cap, n))
-        buf[:, :k_hist + 1] = _history_on_grid(seg, k_hist, tau)
-        return buf
-
-    bufs = [init_buf(seg) for seg in ([xi] if eta is None else [xi, eta])]
-    views = [_UniformSegView(buf, h, tau, k_hist) for buf in bufs]
-    head = k_hist
-    guard = cfg.divergence_guard
-
     outcome = EnsembleOutcome(n_paths)
-    live = np.arange(n_paths)  # the path of each row
-    rows = slice(0, n_paths)  # live, as a slice until a path diverges
+    run = _run_jump if model.model_class is ModelClass.JUMP else _run_batch
+    run(model, starts, cfg, observer, path_offset, outcome)
+    return outcome
+
+
+# ---------------------------------------------------------------------------
+# continuous kernel (retarded and neutral classes)
+# ---------------------------------------------------------------------------
+
+def _run_batch(model, starts, cfg, observer, path_offset, outcome):
+    if model.diffusion is None:
+        raise DomainError("continuous classes need a diffusion map")
+    k_hist = steps_per_window(model.tau, cfg.step, "tau")
+    hist = [_history_on_grid(seg, k_hist, model.tau) for seg in starts]
+    blocks = [np.arange(outcome.n_paths)] if supports_batch(model) else range(outcome.n_paths)
+    for paths in blocks:
+        _batch_block(model, cfg, k_hist, hist, paths, observer, path_offset, outcome)
+
+
+def _batch_block(model, cfg, k_hist, hist, paths, observer, path_offset, outcome):
+    """Step ``paths`` together from the grid histories ``hist``: an index
+    array as a block of rows on ``(rows, T, n)`` buffers, an int as one path
+    on ``(T, n)`` buffers, whose reads return ``(n,)`` as under
+    :func:`~sdelab.engine.simulate`.  The buffers roll back to their last
+    window every chunk of steps."""
+    neutral = model.model_class is ModelClass.NEUTRAL
+    h, m, guard = cfg.step, model.brownian_dim, cfg.divergence_guard
+    n_steps = steps_per_window(cfg.horizon, h, "horizon")
+    live = np.asarray(paths)  # the path of each row; 0-d for one path
+    rows = paths if live.ndim == 0 else slice(0, live.size)  # live, as observers see it
+
+    chunk = max(1, min(_CHUNK_STEPS, _CHUNK_PATH_STEPS // live.size))
+    cap = k_hist + 1 + chunk
+    bufs = [np.empty((*live.shape, cap, model.dim)) for _ in hist]
+    for buf, x in zip(bufs, hist):
+        buf[..., :k_hist + 1, :] = x
+    views = [_UniformSegView(buf, h, model.tau, k_hist) for buf in bufs]
+    head = k_hist
 
     def wins():
-        return [buf[:, head - k_hist:head + 1] for buf in bufs]
+        return [buf[..., head - k_hist:head + 1, :] for buf in bufs]
 
     ys = [view.zero() - model.neutral_map(view) if neutral else None for view in views]
 
     observer.see_path(rows, 0, *wins())
 
-    streams = [NoiseStream(cfg.master_seed, path_offset + p) for p in range(n_paths)]
+    streams = [NoiseStream(cfg.master_seed, path_offset + p) for p in live.ravel().tolist()]
 
     for k0 in range(0, n_steps, chunk):
         span = min(chunk, n_steps - k0)
-        dw = np.empty((live.size, span, m))
+        # laid out step first, so that dw[j] holds step j's rows
+        dw = np.empty((span, len(streams), m))
         for p, st in enumerate(streams):
-            dw[p] = st.gaussian_block(k0, span, m)
+            dw[:, p] = st.gaussian_block(k0, span, m)
+        dw = dw.reshape(span, *live.shape, m)
         dw *= math.sqrt(h)
         for j in range(span):
             k = k0 + j
             if head + 1 >= cap:
                 shift = head - k_hist
                 for buf in bufs:
-                    buf[:, :k_hist + 1] = buf[:, shift:head + 1]
+                    buf[..., :k_hist + 1, :] = buf[..., shift:head + 1, :]
                 head = k_hist
 
             for view, y in zip(views, ys):
                 view.head = head
-                _, it = _euler_step(model, view, y, dw[:, j], k * h, h, cfg)
+                _, it = _euler_step(model, view, y, dw[j], k * h, h, cfg)
                 outcome.max_fixed_point_iters = max(outcome.max_fixed_point_iters, it)
 
-            bad = _out_of_guard(bufs[0][:, head + 1], guard)
+            head += 1
+            bad = _out_of_guard(bufs[0][..., head, :], guard)
             for buf in bufs[1:]:
-                bad |= _out_of_guard(buf[:, head + 1], guard)
-            if bad.any():
+                bad |= _out_of_guard(buf[..., head, :], guard)
+            if np.count_nonzero(bad):
                 # a diverged path leaves the block: its rows, noise and stream
                 outcome.first_bad_time[live[bad]] = (k + 1) * h
                 outcome.diverged[live[bad]] = True
                 keep = ~bad
                 live = rows = live[keep]
                 if not live.size:
-                    return outcome
+                    return
                 bufs = [buf[keep] for buf in bufs]
                 for view, buf in zip(views, bufs):
                     view.states = buf
                 ys = [None if y is None else y[keep] for y in ys]
-                dw = dw[keep]
+                dw = dw[:, keep]
                 streams = [st for st, ok in zip(streams, keep.tolist()) if ok]
 
-            head += 1
             observer.see_path(rows, k + 1, *wins())
 
-    return outcome
-
 
 # ---------------------------------------------------------------------------
-# batch kernel (jump built-ins)
+# jump kernel
 # ---------------------------------------------------------------------------
 
-def _run_jump(model, xi, cfg, n_paths, observer, path_offset, eta):
+def _run_jump(model, starts, cfg, observer, path_offset, outcome):
     h, tau = cfg.step, model.tau
     k_hist = steps_per_window(tau, h, "tau")
     n_steps = steps_per_window(cfg.horizon, h, "horizon")
-    starts = [xi] if eta is None else [xi, eta]
-    outcome = EnsembleOutcome(n_paths)
+    n_paths = outcome.n_paths
     hist = None
 
     # a block holds whole paths, at most _CHUNK_PATH_STEPS nodes (or one path)
@@ -325,7 +324,6 @@ def _run_jump(model, xi, cfg, n_paths, observer, path_offset, eta):
         size += nodes
     _jump_block(model, cfg, n_steps, hist, block, n_paths - len(block) // len(starts),
                 observer, outcome)
-    return outcome
 
 
 def _jump_block(model, cfg, n_steps, hist, tables, p0, observer, outcome):
@@ -334,15 +332,17 @@ def _jump_block(model, cfg, n_steps, hist, tables, p0, observer, outcome):
     per coupled pair.  The tables are laid end to end and the list emptied,
     so its per-row arrays are freed before the block steps.
 
-    All rows step together from grid node to grid node with a scalar ``t``,
-    reading through one :class:`engine._CadlagView` whose head ``cur``
-    holds each row's grid node.  A row with epoch nodes in a step takes its
-    first sub-step with the block and finishes the step alone with
-    :func:`engine._jump_step` on a single head, as
-    :func:`engine._simulate_jump` does.  Observers see the block's live
-    paths one step late, once a divergence within the next step is known,
-    in one call per step: a one-row block its exact window, a wider block
-    every live row's window left-padded with its oldest node to the widest.
+    For a built-in model all rows step together from grid node to grid node
+    with a scalar ``t``, reading through one :class:`engine._CadlagView`
+    whose head ``cur`` holds each row's grid node.  A row with epoch nodes
+    in a step takes its first sub-step with the block and finishes the step
+    alone with :func:`engine._jump_step` on a single head, as
+    :func:`engine._simulate_jump` does.  For a hand-rolled model every row
+    takes every step alone, one head at a time.  Observers see the block's
+    live paths one step late, once a divergence within the next step is
+    known, in one call per step: a one-row block its exact window, a wider
+    block every live row's window left-padded with its oldest node to the
+    widest.
     """
     h, tau, guard = cfg.step, model.tau, cfg.divergence_guard
     n_starts = len(hist)
@@ -389,15 +389,11 @@ def _jump_block(model, cfg, n_steps, hist, tables, p0, observer, outcome):
         stop[p] = min(stop[p], bad_time[r] - _NODE_ATOL)
         earliest = min(earliest, stop[p])
 
-    def finish_row(r, k, applied):
-        """Finish row r's step k; return its grid node k + 1, the first node at (k + 1) * h."""
-        i, end = int(cur[r]) + 1, (k + 1) * h
+    def walk(r, i, end):
+        """Row r holds an unchecked state at flat node i: step it on node by
+        node to its grid node at time ``end``, or to its first bad node;
+        return the grid node."""
         if not dead[r]:
-            # the block stepped the row by the grid spacing; redo the sub-step
-            # to the row's own next node, which may be a nearer epoch
-            states[i] = states[i - 1] + applied * float(times[i] - times[i - 1])
-            if flags[i]:
-                _jump_at(model, view, i, times, marks)
             while not _out_of_guard(states[i], guard):
                 if times[i] == end:
                     return i
@@ -407,6 +403,17 @@ def _jump_block(model, cfg, n_steps, hist, tables, p0, observer, outcome):
         while times[i] != end:
             i += 1
         return i
+
+    def finish_row(r, k, applied):
+        """Finish row r's step k, whose first sub-step the block took."""
+        i = int(cur[r]) + 1
+        if not dead[r]:
+            # the block stepped the row by the grid spacing; redo the sub-step
+            # to the row's own next node, which may be a nearer epoch
+            states[i] = states[i - 1] + applied * float(times[i] - times[i - 1])
+            if flags[i]:
+                _jump_at(model, view, i, times, marks)
+        return walk(r, i, (k + 1) * h)
 
     def observe(k):
         nonlocal earliest, live, paths, rows
@@ -426,7 +433,9 @@ def _jump_block(model, cfg, n_steps, hist, tables, p0, observer, outcome):
         wins = states[np.maximum(at, start[:, None])]
         observer.see_path(paths, k, *[wins[q::n_starts] for q in range(n_starts)])
 
-    for k in range(n_steps):
+    def block_step(k):
+        """Step every row by the grid spacing at once; a row with an epoch
+        node in the step finishes it alone.  Return the rows' grid nodes."""
         t = k * h
         view.head = cur
         applied = model.drift(t, view) - model.jump_compensator(t, view)
@@ -440,6 +449,20 @@ def _jump_block(model, cfg, n_steps, hist, tables, p0, observer, outcome):
             nxt[split_rows] = [finish_row(r, k, applied[r]) for r in split_rows]
         for r in np.flatnonzero(bad & ~dead).tolist():
             diverge(r, cur[r] + 1)
+        return nxt
+
+    def rows_alone(k):
+        """Step every row alone, node by node; return the rows' grid nodes."""
+        nxt = cur + 1
+        for r, i in enumerate(cur.tolist()):
+            if not dead[r]:
+                _jump_step(model, view, i, times, flags, marks)
+            nxt[r] = walk(r, i + 1, (k + 1) * h)
+        return nxt
+
+    step = block_step if supports_batch(model) else rows_alone  # hand-rolled maps read one path
+    for k in range(n_steps):
+        nxt = step(k)
         observe(k)
         cur = nxt
     observe(n_steps)
@@ -447,40 +470,3 @@ def _jump_block(model, cfg, n_steps, hist, tables, p0, observer, outcome):
     pair_bad = np.fmin.reduce(bad_time.reshape(-1, n_starts), axis=1)
     outcome.first_bad_time[p0:p0 + pair_bad.size] = pair_bad
     outcome.diverged[p0:p0 + pair_bad.size] = ~np.isnan(pair_bad)
-
-
-# ---------------------------------------------------------------------------
-# generic per-path fallback
-# ---------------------------------------------------------------------------
-
-def _run_generic(model, xi, cfg, n_paths, observer, path_offset, eta):
-    outcome = EnsembleOutcome(n_paths)
-    h, tau = cfg.step, model.tau
-    k_hist = steps_per_window(tau, h, "tau")
-    n_steps = steps_per_window(cfg.horizon, h, "horizon")
-    starts = [xi] if eta is None else [xi, eta]
-
-    if model.model_class is ModelClass.JUMP:
-        def window(traj, k):
-            times, t = traj.times, k * h
-            return traj.states[_node_index(times, t - tau):_node_index(times, t) + 1]
-    else:
-        def window(traj, k):
-            return traj.states[k:k + k_hist + 1]
-
-    for p in range(n_paths):
-        stream = NoiseStream(cfg.master_seed, path_offset + p)
-        trajs = [simulate(model, seg, cfg, stream) for seg in starts]
-        bads = [traj.diverged_at for traj in trajs if traj.diverged]
-        if bads:
-            outcome.diverged[p] = True
-            outcome.first_bad_time[p] = min(bads)
-        outcome.max_fixed_point_iters = max(outcome.max_fixed_point_iters,
-                                            *(traj.max_fixed_point_iters for traj in trajs))
-        # observers never see a path at or after its first bad step
-        stop = min(bads, default=math.inf) - _NODE_ATOL
-        for k in range(n_steps + 1):
-            if k * h >= stop:
-                break
-            observer.see_path(p, k, *[window(traj, k) for traj in trajs])
-    return outcome

@@ -20,7 +20,6 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.special import stdtrit
 
 from .errors import DomainError, EstimationError
 from .engine import SimConfig, simulate, steps_per_window, _CadlagView, _node_index
@@ -416,7 +415,7 @@ def moment_bound_check(model, xi, cfg: SimConfig, kappa_exp: float = 0.1, *,
     rec = _ens.WindowRecorder(record_steps, {"sup": sup}, cfg.ensemble)
     outcome = _ens.run_ensemble(model, xi, cfg, cfg.ensemble, rec)
     _ens.refuse_divergence(outcome, "moment estimation")
-    # one array power over the whole table, so every route rounds alike
+    # one array power over the whole table, so blocks and single paths round alike
     vals = rec.out["sup"][~outcome.diverged] ** p
     if vals.shape[0] < 3:
         raise EstimationError("fewer than three usable paths for the moment check")
@@ -430,6 +429,7 @@ def moment_bound_check(model, xi, cfg: SimConfig, kappa_exp: float = 0.1, *,
     slopes = (vals - vals.mean(axis=1, keepdims=True)) @ tc / denom
     slope = float(slopes.mean())
     slope_se = float(slopes.std(ddof=1) / math.sqrt(slopes.size))
+    from scipy.special import stdtrit  # on first use: it dominates import time
     tcrit = float(stdtrit(slopes.size - 1, 0.995))
     ci = (slope - tcrit * slope_se, slope + tcrit * slope_se)
     return MomentReport(p, times, moments, ses, float(moments.max()), slope,

@@ -13,7 +13,8 @@ whose reads return one row per path, returns one row per path (the jump
 coefficient then takes its marks as a column); the vectorized ensemble
 kernels call them that way.  Their structural descriptor marks them for
 those kernels and for the analytic rate calculators.  Hand-rolled
-coefficient maps work everywhere through the generic per-path engine.
+coefficient maps, which read one path, work everywhere: the same kernels
+call them one path at a time.
 """
 
 from __future__ import annotations
@@ -23,7 +24,6 @@ from enum import Enum
 from typing import Callable
 
 import numpy as np
-from scipy.special import ndtri
 
 from .errors import DomainError, ModelContractError
 
@@ -203,6 +203,7 @@ class GaussianMarks(MarkLaw):
             raise DomainError("sigma must be positive")
 
     def from_uniform(self, u):
+        from scipy.special import ndtri  # on first use: it dominates import time
         return self.mu + self.sigma * ndtri(np.asarray(u))
 
     def mean(self):

@@ -24,7 +24,6 @@ rejection sampling), which is what makes the per-word addressing exact.
 from __future__ import annotations
 
 import numpy as np
-from scipy.special import ndtri
 
 from .errors import DomainError
 
@@ -88,6 +87,7 @@ class NoiseStream:
 
     def gaussians(self, step_index: int, m: int) -> np.ndarray:
         """The ``m`` standard normals of step ``step_index`` (shape ``(m,)``)."""
+        from scipy.special import ndtri  # on first use: it dominates import time
         u = self.uniforms(self.PURPOSE_GAUSS, step_index * m, m)
         return ndtri(u)
 
@@ -97,6 +97,7 @@ class NoiseStream:
         Shape ``(n_steps, m)``; row ``k`` is bitwise identical to
         ``gaussians(step_start + k, m)``.
         """
+        from scipy.special import ndtri
         u = self.uniforms(self.PURPOSE_GAUSS, step_start * m, n_steps * m)
         return ndtri(u).reshape(n_steps, m)
 

@@ -657,22 +657,33 @@ def _lower_bound(xi: Segment, eta: Segment, tau: float, upper: float, levels: in
 def segment_to_csv(seg: Segment, path):
     """Write ``theta,v1,...,vn,jump`` rows, thetas ascending."""
     with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
+        w = csv.writer(fh, lineterminator="\n")
         w.writerow(["theta"] + [f"v{i + 1}" for i in range(seg.dim)] + ["jump"])
         for theta, row, flag in zip(seg.grid, seg.values, seg.jump_flags):
             w.writerow([f"{theta:.17g}"] + [f"{x:.17g}" for x in row] + [int(flag)])
 
 
 def segment_from_csv(path, kind: SegmentKind) -> Segment:
+    """Read a segment written by :func:`segment_to_csv`.  A bad header, row
+    or cell raises :class:`DomainError` naming the file and the row."""
+    grid, vals, flags = [], [], []
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
-        header = next(reader)
-        if header[0] != "theta" or header[-1] != "jump":
-            raise DomainError(f"unexpected segment header: {header}")
-        rows = [row for row in reader if row]
-    grid = np.array([float(r[0]) for r in rows])
-    vals = np.array([[float(x) for x in r[1:-1]] for r in rows])
-    flags = np.array([bool(int(r[-1])) for r in rows])
+        header = next(reader, [])
+        if header[:1] != ["theta"] or header[-1:] != ["jump"]:
+            raise DomainError(f"{path}: unexpected segment header: {header}")
+        for row in reader:
+            if not row:
+                continue
+            try:
+                if len(row) != len(header):
+                    raise ValueError(f"{len(row)} cells under a header of {len(header)}")
+                grid.append(float(row[0]))
+                vals.append([float(x) for x in row[1:-1]])
+                flags.append(bool(int(row[-1])))
+            except ValueError as exc:
+                raise DomainError(f"{path}, row {reader.line_num}: {exc}") from None
+    grid, vals, flags = np.array(grid), np.array(vals), np.array(flags, dtype=bool)
     if kind is SegmentKind.CONTINUOUS_LINEAR and flags.any():
         flags = np.zeros_like(flags)
     return Segment(kind, grid, vals, flags if kind is SegmentKind.CADLAG_STEP else None)

@@ -567,6 +567,34 @@ def test_negative_path_index_exits_2(tmp_path, capsys):
     assert "path_index" in match.group(0)
 
 
+@pytest.mark.parametrize("lines, where", [
+    (["theta,v1,jump", "-1,abc,0", "0,1,0"], "row 2: could not convert string to float: 'abc'"),
+    (["theta,v1,jump", "-1,1,0", "0,1"], "row 3: 2 cells under a header of 3"),
+    (["t,v1,is_jump", "-1,1,0", "0,1,0"], "unexpected segment header"),
+], ids=["bad-cell", "short-row", "bad-header"])
+def test_bad_csv_history_exits_2_as_a_config_error(tmp_path, capsys, lines, where):
+    (tmp_path / "history.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
+    text = SIMULATE_EQUILIBRIUM.replace("kind = constant\nvalue = 1.5",
+                                        "kind = csv\npath = history.csv")
+    assert main(["simulate", "--config", write_config(tmp_path, text)]) == 2
+    match = ERROR_LINE.search(capsys.readouterr().err)
+    assert match and match.group(1) == "2" and match.group(2) == "ConfigError"
+    assert "[initial]" in match.group(0) and "history.csv" in match.group(0)
+    assert where in match.group(0)
+
+
+def test_trajectory_and_witness_csv_end_lines_with_lf(tmp_path, capsys):
+    assert main(["simulate", "--config", write_config(tmp_path, SIMULATE_EQUILIBRIUM)]) == 0
+    check = ("[model]\nname = linear_retarded\na = 0.4\nb_lag = 1\nsigma0 = 0.5\ntau = 1\n"
+             "[task]\nname = check\n[output]\ndir = out\n")
+    assert main(["check", "--config", write_config(tmp_path, check, name="check.ini")]) == 0
+    written = [tmp_path / "out" / "trajectory.csv", *(tmp_path / "out").glob("witness_*.csv")]
+    assert len(written) > 1
+    for path in written:
+        raw = path.read_bytes()
+        assert raw.endswith(b"\n") and b"\r" not in raw
+
+
 class TestCliRunner:
     def test_halanay_prints_rate_and_writes_manifest(self, tmp_path, capsys):
         path = write_config(tmp_path, HALANAY)

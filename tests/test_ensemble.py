@@ -1,5 +1,6 @@
-"""Ensemble runners: engine equivalence, observers, threading, divergence."""
+"""Ensemble kernels: equal to simulate, observers, threading, divergence."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -29,7 +30,6 @@ from sdelab.ensemble import (
     EnsembleOutcome,
     IntegralAccumulator,
     WindowRecorder,
-    _run_generic,
     run_ensemble,
     supports_batch,
 )
@@ -57,133 +57,7 @@ def recorder(steps, n_paths):
 
 
 # ---------------------------------------------------------------------------
-# engine equivalence: vectorized kernel vs per-path fallback
-# ---------------------------------------------------------------------------
-
-def every_state(n_steps, n_paths, dim):
-    """Record every coordinate of the newest point at every step."""
-    fns = {f"x{i}": (lambda *wins, i=i: wins[0][..., -1, i]) for i in range(dim)}
-    return WindowRecorder(range(n_steps + 1), fns, n_paths)
-
-
-def assert_routes_agree(model, xi, cfg, n_paths):
-    """The batch kernel and the per-path route give bitwise-equal states."""
-    assert supports_batch(model)
-    n_steps = round(cfg.horizon / cfg.step)
-    rec_b = every_state(n_steps, n_paths, model.dim)
-    out_b = run_ensemble(model, xi, cfg, n_paths, rec_b)
-    rec_g = every_state(n_steps, n_paths, model.dim)
-    out_g = _run_generic(model, xi, cfg, n_paths, rec_g, 0, None)
-    for name in rec_b.out:
-        assert np.array_equal(rec_b.out[name], rec_g.out[name])  # bitwise
-    assert out_b.n_diverged == out_g.n_diverged == 0
-    assert out_b.max_fixed_point_iters == out_g.max_fixed_point_iters
-
-
-# lags on and off the step grid (h = 0.05) for every delay kind
-POINT_DELAYS = {
-    "point-integer": PointConstant(1.0),
-    "point-fractional": PointConstant(0.73),
-}
-DISTRIBUTED_DELAYS = {
-    "distributed-integer": Distributed(atoms=(-1.0, -0.5), weights=(0.5, 0.5)),
-    "distributed-fractional": Distributed(atoms=(-0.93, -0.31, 0.0),
-                                          weights=(0.5, 0.3, 0.2)),
-}
-VARIABLE_DELAYS = {
-    "variable-integer": PointVariable(lambda t: 1.0 if t < 1.0 else 0.5),
-    "variable-fractional": PointVariable(lambda t: 0.6 + 0.3 * math.sin(t)),
-}
-RETARDED_DELAYS = {**POINT_DELAYS, **VARIABLE_DELAYS, **DISTRIBUTED_DELAYS}
-# the neutral map takes a segment alone, so it has no time-variable lag
-NEUTRAL_DELAYS = {**POINT_DELAYS, **DISTRIBUTED_DELAYS}
-
-
-@pytest.mark.parametrize("delay", RETARDED_DELAYS.values(), ids=RETARDED_DELAYS.keys())
-def test_batch_kernel_matches_per_path_engine_retarded(delay):
-    model = linear_retarded(3.0, 1.0, 0.5, delay, 1.0)
-    assert_routes_agree(model, ONES, SimConfig(step=0.05, horizon=3.0, master_seed=13), 6)
-
-
-@pytest.mark.parametrize("delay", NEUTRAL_DELAYS.values(), ids=NEUTRAL_DELAYS.keys())
-def test_batch_kernel_matches_per_path_engine_neutral(delay):
-    model = neutral_linear(0.25, delay, 3.0, 0.5, 0.5, 1.0)
-    assert_routes_agree(model, ONES, SimConfig(step=0.05, horizon=2.0, master_seed=5), 4)
-
-
-@pytest.mark.parametrize("factory", [
-    lambda sig: linear_retarded(3.0, 1.0, sig, PointConstant(0.73), 1.0, dim=2),
-    lambda sig: neutral_linear(0.25, PointConstant(0.73), 3.0, 1.0, sig, 1.0, dim=2),
-], ids=["retarded", "neutral"])
-def test_batch_kernel_matches_per_path_engine_two_dimensional(factory):
-    # a full (non-diagonal) diffusion matrix mixes both noise channels into
-    # each coordinate; both routes must sum them in the same order
-    model = factory(np.array([[0.5, 0.2], [-0.3, 0.4]]))
-    xi = Segment.constant(np.array([1.0, -0.5]), 1.0)
-    assert_routes_agree(model, xi, SimConfig(step=0.05, horizon=3.0, master_seed=13), 6)
-
-
-@pytest.mark.parametrize("run", [run_ensemble, _run_generic], ids=["batch", "per-path"])
-def test_variable_lag_leaving_the_window_raises_on_both_routes(run):
-    # delta(t) = 0.5 + t passes tau = 1 after t = 0.5
-    model = linear_retarded(3.0, 1.0, 0.5, PointVariable(lambda t: 0.5 + t), 1.0)
-    cfg = SimConfig(step=0.05, horizon=2.0, master_seed=13)
-    with pytest.raises(DomainError, match="outside"):
-        run(model, ONES, cfg, 2, recorder([0], 2), 0, None)
-
-
-def test_generic_models_take_the_fallback_route():
-    model = retarded_model(lambda t, seg: -seg.eval(0.0), sigma=0.2)
-    assert not supports_batch(model)
-    cfg = SimConfig(step=0.1, horizon=1.0, master_seed=1)
-    rec = recorder([10], 3)
-    run_ensemble(model, ONES, cfg, 3, rec)
-    assert np.all(np.isfinite(rec.out["x"]))
-
-
-def test_jump_built_ins_take_the_batch_route(monkeypatch):
-    model = jump_linear(3.0, 1.0, 0.3, 2.0, UniformSigns(), PointConstant(1.0), 1.0)
-    assert supports_batch(model)
-
-    def per_path(*args):  # pragma: no cover - fails the test if reached
-        raise AssertionError("took the per-path route")
-
-    monkeypatch.setattr(ensemble, "_run_generic", per_path)
-    monkeypatch.setattr(ensemble, "simulate", per_path)
-    cfg = SimConfig(step=0.1, horizon=2.0, master_seed=1)
-    rec = recorder([0, 20], 4)
-    run_ensemble(model, JUMP_ONES, cfg, 4, rec)
-    # step 0 window ends at the initial value; step 20 is the t = 2 window
-    assert np.all(rec.out["x"][:, 0] == 1.0)
-    for p in range(4):
-        traj = simulate(model, JUMP_ONES, cfg, path_index=p)
-        assert rec.out["x"][p, 1] == traj.state_at(2.0)[0]
-
-
-def test_hand_rolled_jump_models_take_the_per_path_route(monkeypatch):
-    # the same equation as a ModelSpec of its own: its closures take a scalar
-    # mark, so its paths run one at a time through simulate
-    built_in = jump_linear(3.0, 1.0, 0.3, 2.0, UniformSigns(), PointConstant(1.0), 1.0)
-    model = ModelSpec(
-        model_class=ModelClass.JUMP, dim=1, brownian_dim=0, tau=1.0,
-        drift=built_in.drift, jump_coeff=lambda t, seg, z: np.array([0.3 * z]),
-        jump_compensator=lambda t, seg: np.zeros(1),
-        intensity=2.0, mark_law=UniformSigns())
-    assert not supports_batch(model)
-    calls = []
-    monkeypatch.setattr(ensemble, "simulate",
-                        lambda *args: calls.append(args[-1].path_index) or simulate(*args))
-    cfg = SimConfig(step=0.1, horizon=2.0, master_seed=1)
-    rec = recorder([0, 20], 4)
-    run_ensemble(model, JUMP_ONES, cfg, 4, rec)
-    assert calls == [0, 1, 2, 3]
-    ref = recorder([0, 20], 4)
-    run_ensemble(built_in, JUMP_ONES, cfg, 4, ref)
-    assert np.array_equal(rec.out["x"], ref.out["x"])
-
-
-# ---------------------------------------------------------------------------
-# jump kernel: every window and outcome equal to simulate, path by path
+# kernels against simulate: every window and outcome equal, path by path
 # ---------------------------------------------------------------------------
 
 class WindowLog:
@@ -214,14 +88,17 @@ def assert_padded(got, want):
 
 
 def simulated_windows(model, starts, cfg, n_paths, path_offset):
-    """Each path's (or pair's) windows by step, and its first bad time, from
-    ``simulate``: the window at step k holds the nodes from t - tau through
-    t by the node rule, and the path is not shown from its first bad step on."""
+    """Each path's (or pair's) windows by step, its first bad time, and the
+    most fixed-point sweeps of any path, from ``simulate``: the window at
+    step k holds the nodes from t - tau through t by the node rule (on a
+    continuous path ``states[k:k + tau / h + 1]``), and the path is not
+    shown from its first bad step on."""
     h, tau = cfg.step, model.tau
-    seen, first_bad = {}, np.full(n_paths, np.nan)
+    seen, first_bad, iters = {}, np.full(n_paths, np.nan), 0
     for p in range(n_paths):
         stream = NoiseStream(cfg.master_seed, path_offset + p)
         trajs = [simulate(model, seg, cfg, stream) for seg in starts]
+        iters = max(iters, *(tr.max_fixed_point_iters for tr in trajs))
         stop = min((tr.diverged_at for tr in trajs if tr.diverged), default=math.inf)
         first_bad[p] = stop if stop < math.inf else np.nan
         for k in range(round(cfg.horizon / h) + 1):
@@ -230,15 +107,14 @@ def simulated_windows(model, starts, cfg, n_paths, path_offset):
                 break
             seen[p, k] = [tr.states[_node_index(tr.times, t - tau):_node_index(tr.times, t) + 1]
                           for tr in trajs]
-    return seen, first_bad
+    return seen, first_bad, iters
 
 
-def assert_jump_kernel_matches_simulate(model, starts, cfg, n_paths, path_offset=0):
-    assert supports_batch(model)
+def assert_kernel_matches_simulate(model, starts, cfg, n_paths, path_offset=0):
     log = WindowLog()
     eta = starts[1] if len(starts) > 1 else None
     out = run_ensemble(model, starts[0], cfg, n_paths, log, path_offset, eta)
-    seen, first_bad = simulated_windows(model, starts, cfg, n_paths, path_offset)
+    seen, first_bad, iters = simulated_windows(model, starts, cfg, n_paths, path_offset)
     assert log.seen.keys() == seen.keys()
     for key, wins in seen.items():
         got = log.seen[key]
@@ -247,9 +123,214 @@ def assert_jump_kernel_matches_simulate(model, starts, cfg, n_paths, path_offset
             assert_padded(g, w)
     assert np.array_equal(out.first_bad_time, first_bad, equal_nan=True)
     assert np.array_equal(out.diverged, ~np.isnan(first_bad))
-    assert out.max_fixed_point_iters == 0
+    # a pair stops at its first bad step, while simulate runs each of its
+    # paths on to its own
+    if out.n_diverged:
+        assert out.max_fixed_point_iters <= iters
+    else:
+        assert out.max_fixed_point_iters == iters
+    if model.model_class is ModelClass.JUMP:
+        assert out.max_fixed_point_iters == 0
     return out, log
 
+
+def replay(model, starts, cfg, n_paths, observer):
+    """Show ``observer`` every window of ``simulate``'s paths, path by path,
+    as the kernel shows its own; return the paths' first bad times."""
+    seen, first_bad, _ = simulated_windows(model, starts, cfg, n_paths, 0)
+    for (p, k), wins in seen.items():
+        observer.see_path(p, k, *wins)
+    return first_bad
+
+
+def every_state(n_steps, n_paths, dim):
+    """Record every coordinate of the newest point at every step."""
+    fns = {f"x{i}": (lambda *wins, i=i: wins[0][..., -1, i]) for i in range(dim)}
+    return WindowRecorder(range(n_steps + 1), fns, n_paths)
+
+
+def hand_rolled(model):
+    """The same equation without its descriptor: its maps read one path."""
+    return dataclasses.replace(model, descriptor=None)
+
+
+# lags on and off the step grid (h = 0.05) for every delay kind
+POINT_DELAYS = {
+    "point-integer": PointConstant(1.0),
+    "point-fractional": PointConstant(0.73),
+}
+DISTRIBUTED_DELAYS = {
+    "distributed-integer": Distributed(atoms=(-1.0, -0.5), weights=(0.5, 0.5)),
+    "distributed-fractional": Distributed(atoms=(-0.93, -0.31, 0.0),
+                                          weights=(0.5, 0.3, 0.2)),
+}
+VARIABLE_DELAYS = {
+    "variable-integer": PointVariable(lambda t: 1.0 if t < 1.0 else 0.5),
+    "variable-fractional": PointVariable(lambda t: 0.6 + 0.3 * math.sin(t)),
+}
+RETARDED_DELAYS = {**POINT_DELAYS, **VARIABLE_DELAYS, **DISTRIBUTED_DELAYS}
+# the neutral map takes a segment alone, so it has no time-variable lag
+NEUTRAL_DELAYS = {**POINT_DELAYS, **DISTRIBUTED_DELAYS}
+
+
+@pytest.mark.parametrize("delay", RETARDED_DELAYS.values(), ids=RETARDED_DELAYS.keys())
+def test_batch_kernel_matches_per_path_engine_retarded(delay):
+    model = linear_retarded(3.0, 1.0, 0.5, delay, 1.0)
+    assert_kernel_matches_simulate(model, [ONES], SimConfig(step=0.05, horizon=3.0, master_seed=13), 6)
+
+
+@pytest.mark.parametrize("delay", NEUTRAL_DELAYS.values(), ids=NEUTRAL_DELAYS.keys())
+def test_batch_kernel_matches_per_path_engine_neutral(delay):
+    model = neutral_linear(0.25, delay, 3.0, 0.5, 0.5, 1.0)
+    assert_kernel_matches_simulate(model, [ONES], SimConfig(step=0.05, horizon=2.0, master_seed=5), 4)
+
+
+@pytest.mark.parametrize("factory", [
+    lambda sig: linear_retarded(3.0, 1.0, sig, PointConstant(0.73), 1.0, dim=2),
+    lambda sig: neutral_linear(0.25, PointConstant(0.73), 3.0, 1.0, sig, 1.0, dim=2),
+], ids=["retarded", "neutral"])
+def test_batch_kernel_matches_per_path_engine_two_dimensional(factory):
+    # a full (non-diagonal) diffusion matrix mixes both noise channels into
+    # each coordinate; the kernel must sum them in simulate's order
+    model = factory(np.array([[0.5, 0.2], [-0.3, 0.4]]))
+    xi = Segment.constant(np.array([1.0, -0.5]), 1.0)
+    assert_kernel_matches_simulate(model, [xi], SimConfig(step=0.05, horizon=3.0, master_seed=13), 6)
+
+
+@pytest.mark.parametrize("hand", [False, True], ids=["built-in", "hand-rolled"])
+def test_variable_lag_leaving_the_window_raises_for_every_model(hand):
+    # delta(t) = 0.5 + t passes tau = 1 after t = 0.5
+    model = linear_retarded(3.0, 1.0, 0.5, PointVariable(lambda t: 0.5 + t), 1.0)
+    cfg = SimConfig(step=0.05, horizon=2.0, master_seed=13)
+    with pytest.raises(DomainError, match="outside"):
+        run_ensemble(hand_rolled(model) if hand else model, ONES, cfg, 2, recorder([0], 2))
+
+
+def spy_on_drift(model, reads):
+    """``model`` with a drift that logs the shape of each newest-point read."""
+    return dataclasses.replace(
+        model, drift=lambda t, seg: reads.append(seg.zero().shape) or model.drift(t, seg))
+
+
+def test_hand_rolled_continuous_models_step_one_path_at_a_time():
+    # the kernel runs one block per path on (T, n) buffers, so the maps read
+    # (n,) as under simulate, and observers see each path as an int
+    reads = []
+    model = spy_on_drift(retarded_model(lambda t, seg: -seg.eval(0.0), sigma=0.2), reads)
+    assert not supports_batch(model)
+    cfg = SimConfig(step=0.1, horizon=1.0, master_seed=1)
+    _, log = assert_kernel_matches_simulate(model, [ONES], cfg, 3)
+    assert set(reads) == {(1,)}
+    assert [step for step, _ in log.calls] == list(range(11)) * 3
+    assert all(shapes == [(11, 1)] for _, shapes in log.calls)
+
+
+def test_continuous_models_need_a_diffusion_map():
+    model = dataclasses.replace(retarded_model(lambda t, seg: -seg.eval(0.0)), diffusion=None)
+    cfg = SimConfig(step=0.1, horizon=1.0, master_seed=1)
+    for run in (lambda: simulate(model, ONES, cfg),
+                lambda: run_ensemble(model, ONES, cfg, 2, NoCalls())):
+        with pytest.raises(DomainError, match="continuous classes need a diffusion map"):
+            run()
+
+
+def test_jump_built_ins_step_as_a_block():
+    # the maps read every row at once, once a step; only the steps of a row
+    # that hold an epoch read one path
+    assert not hasattr(ensemble, "simulate")
+    reads = []
+    model = jump_linear(3.0, 1.0, 0.3, 2.0, UniformSigns(), PointConstant(1.0), 1.0)
+    assert supports_batch(spy_on_drift(model, reads))
+    cfg = SimConfig(step=0.1, horizon=2.0, master_seed=1)
+    rec = recorder([0, 20], 4)
+    run_ensemble(spy_on_drift(model, reads), JUMP_ONES, cfg, 4, rec)
+    assert reads.count((4, 1)) == 20 and set(reads) == {(4, 1), (1,)}
+    # step 0 window ends at the initial value; step 20 is the t = 2 window
+    assert np.all(rec.out["x"][:, 0] == 1.0)
+    for p in range(4):
+        traj = simulate(model, JUMP_ONES, cfg, path_index=p)
+        assert rec.out["x"][p, 1] == traj.state_at(2.0)[0]
+
+
+def test_hand_rolled_jump_models_step_one_head_at_a_time():
+    # the same equation as a ModelSpec of its own: its closures take a scalar
+    # mark, so every row of the block walks alone, node by node
+    built_in = jump_linear(3.0, 1.0, 0.3, 2.0, UniformSigns(), PointConstant(1.0), 1.0)
+    reads = []
+    model = ModelSpec(
+        model_class=ModelClass.JUMP, dim=1, brownian_dim=0, tau=1.0,
+        drift=spy_on_drift(built_in, reads).drift,
+        jump_coeff=lambda t, seg, z: np.array([0.3 * z]),
+        jump_compensator=lambda t, seg: np.zeros(1),
+        intensity=2.0, mark_law=UniformSigns())
+    assert not supports_batch(model)
+    cfg = SimConfig(step=0.1, horizon=2.0, master_seed=1)
+    rec = recorder([0, 20], 4)
+    run_ensemble(model, JUMP_ONES, cfg, 4, rec)
+    assert set(reads) == {(1,)}
+    ref = recorder([0, 20], 4)
+    run_ensemble(built_in, JUMP_ONES, cfg, 4, ref)
+    assert np.array_equal(rec.out["x"], ref.out["x"])
+
+
+# every class and delay kind, coupled or not, diverging or not: the kernels
+# run the built-ins and their hand-rolled copies to simulate's numbers
+FAMILY_DELAYS = {name: RETARDED_DELAYS[name] for name in (
+    "point-integer", "point-fractional", "variable-fractional", "distributed-fractional")}
+FAMILY_CASES = [(family, delay) for family in ("retarded", "neutral", "jump")
+                for delay in FAMILY_DELAYS
+                if not (family == "neutral" and delay.startswith("variable"))]
+FAMILY_CASES.append(("retarded-2d", "point-fractional"))
+XI_2D = Segment.constant(np.array([1.0, -0.5]), 1.0)
+ETA_2D = Segment.constant(np.array([0.2, 0.5]), 1.0)
+ETA_HALF = Segment.constant(np.array([-0.5]), 1.0)
+
+
+def family_case(family, delay, diverging):
+    """(model, xi, eta, guard): a low guard under strong noise, or for the
+    jump class saturating jumps with a < b_lag, makes paths diverge."""
+    sig, guard = (2.0, 2.0) if diverging else (0.5, 1e8)
+    if family == "retarded":
+        return linear_retarded(3.0, 1.0, sig, delay, 1.0), ONES, ETA_HALF, guard
+    if family == "neutral":
+        return neutral_linear(0.25, delay, 3.0, 0.5, sig, 1.0), ONES, ETA_HALF, guard
+    if family == "retarded-2d":
+        sigma = sig * np.array([[1.0, 0.4], [-0.6, 0.8]])
+        return linear_retarded(3.0, 1.0, sigma, delay, 1.0, dim=2), XI_2D, ETA_2D, guard
+    if diverging:
+        model = jump_linear(0.5, 3.0, 0.3, 5.0, UniformSigns(), delay, 1.0, saturating=True)
+        return model, XI_JUMPS, ETA_JUMPS, 10.0
+    model = jump_linear(3.0, 1.0, 0.3, 5.0, GaussianMarks(0.2, 1.0), delay, 1.0, saturating=True)
+    return model, XI_JUMPS, ETA_JUMPS, 1e8
+
+
+@pytest.mark.parametrize("diverging", [False, True], ids=["bounded", "diverging"])
+@pytest.mark.parametrize("family, delay", FAMILY_CASES, ids=[f"{f}-{d}" for f, d in FAMILY_CASES])
+def test_hand_rolled_copies_match_simulate(family, delay, diverging):
+    model, xi, eta, guard = family_case(family, FAMILY_DELAYS[delay], diverging)
+    cfg = SimConfig(step=0.05, horizon=3.0, master_seed=4, divergence_guard=guard)
+    for starts in ([xi], [xi, eta]):
+        outs = [assert_kernel_matches_simulate(m, starts, cfg, 4, path_offset=2)[0]
+                for m in (model, hand_rolled(model))]
+        assert (outs[0].n_diverged > 0) == diverging
+        assert outs[0].max_fixed_point_iters == outs[1].max_fixed_point_iters
+
+
+@pytest.mark.parametrize("hand", [False, True], ids=["built-in", "hand-rolled"])
+@pytest.mark.parametrize("family", ["retarded", "jump"])
+def test_a_start_outside_the_guard_takes_one_step_as_under_simulate(family, hand):
+    # simulate checks a path after each step, never its initial value
+    model, *_ = family_case(family, PointConstant(1.0), False)
+    kind = STEP if family == "jump" else SegmentKind.CONTINUOUS_LINEAR
+    xi = Segment.constant(np.array([60.0]), 1.0, kind=kind)
+    cfg = SimConfig(step=0.05, horizon=1.0, master_seed=3, divergence_guard=50.0)
+    out, _ = assert_kernel_matches_simulate(hand_rolled(model) if hand else model, [xi], cfg, 3)
+    assert out.n_diverged == 3 and np.all(out.first_bad_time > 0.0)
+
+
+# ---------------------------------------------------------------------------
+# jump kernel
+# ---------------------------------------------------------------------------
 
 JUMP_STARTS = {"constant": [JUMP_ONES], "history-jumps": [XI_JUMPS]}
 
@@ -259,7 +340,7 @@ JUMP_STARTS = {"constant": [JUMP_ONES], "history-jumps": [XI_JUMPS]}
 def test_jump_kernel_matches_simulate(delay, starts):
     model = jump_linear(3.0, 1.0, 0.3, 5.0, UniformSigns(), delay, 1.0)
     cfg = SimConfig(step=0.05, horizon=3.0, master_seed=13)
-    assert_jump_kernel_matches_simulate(model, starts, cfg, 5)
+    assert_kernel_matches_simulate(model, starts, cfg, 5)
 
 
 @pytest.mark.parametrize("intensity", [5.0, 60.0], ids=["lambda-5", "lambda-60"])
@@ -271,7 +352,7 @@ def test_jump_kernel_matches_simulate_coupled(delay, intensity):
     # holds three epochs on average, so a row's head crosses several at once
     model = jump_linear(3.0, 1.0, 0.3, intensity, GaussianMarks(0.1, 1.0), delay, 1.0)
     cfg = SimConfig(step=0.05, horizon=3.0, master_seed=21)
-    assert_jump_kernel_matches_simulate(model, [XI_JUMPS, ETA_JUMPS], cfg, 5)
+    assert_kernel_matches_simulate(model, [XI_JUMPS, ETA_JUMPS], cfg, 5)
     if intensity == 60.0:
         epochs, _ = engine.sample_poisson_measure(intensity, model.mark_law, 3.0,
                                                   NoiseStream(21, 0))
@@ -286,8 +367,8 @@ def test_jump_kernel_matches_simulate_saturating(dim):
     xi = Segment.constant(np.linspace(1.0, -0.5, dim), 1.0, kind=STEP)
     eta = Segment.constant(np.linspace(-0.5, 2.0, dim), 1.0, kind=STEP)
     cfg = SimConfig(step=0.05, horizon=3.0, master_seed=5)
-    assert_jump_kernel_matches_simulate(model, [xi], cfg, 4, path_offset=7)
-    assert_jump_kernel_matches_simulate(model, [xi, eta], cfg, 4)
+    assert_kernel_matches_simulate(model, [xi], cfg, 4, path_offset=7)
+    assert_kernel_matches_simulate(model, [xi, eta], cfg, 4)
 
 
 def test_jump_kernel_matches_simulate_with_epochs_on_grid_nodes(monkeypatch):
@@ -308,7 +389,7 @@ def test_jump_kernel_matches_simulate_with_epochs_on_grid_nodes(monkeypatch):
     model = jump_linear(3.0, 1.0, 0.3, 5.0, GaussianMarks(0.2, 1.0), PointConstant(1.0), 1.0,
                         saturating=True)
     cfg = SimConfig(step=0.05, horizon=3.0, master_seed=3)
-    assert_jump_kernel_matches_simulate(model, [XI_JUMPS, ETA_JUMPS], cfg, 5)
+    assert_kernel_matches_simulate(model, [XI_JUMPS, ETA_JUMPS], cfg, 5)
 
 
 def test_jump_kernel_stops_a_path_at_its_first_bad_node():
@@ -316,21 +397,22 @@ def test_jump_kernel_stops_a_path_at_its_first_bad_node():
     model = jump_linear(0.5, 3.0, 0.3, 5.0, UniformSigns(), PointConstant(1.0), 1.0,
                         saturating=True)
     cfg = SimConfig(step=0.05, horizon=6.0, master_seed=2, divergence_guard=50.0)
-    out, _ = assert_jump_kernel_matches_simulate(model, [JUMP_ONES], cfg, 6)
+    out, _ = assert_kernel_matches_simulate(model, [JUMP_ONES], cfg, 6)
     assert out.n_diverged == 6 and np.all(out.first_bad_time < 6.0)
     # in each pair the eta row, started at 3, crosses first; some pairs
     # cross at an epoch node, between grid nodes
     eta = Segment.constant(np.array([3.0]), 1.0, kind=STEP)
-    out, _ = assert_jump_kernel_matches_simulate(model, [XI_JUMPS, eta], cfg, 6)
+    out, _ = assert_kernel_matches_simulate(model, [XI_JUMPS, eta], cfg, 6)
     assert out.n_diverged == 6 and np.all(out.first_bad_time < 6.0)
     assert np.any(np.round(out.first_bad_time / 0.05) * 0.05 != out.first_bad_time)
-    # the estimators' observers stop there too, on both routes
+    # the estimators' observers stop there too, as on simulate's paths
     for observer in (lambda: recorder(range(121), 6),
                      lambda: IntegralAccumulator(10, 1, terminal_value, 6, 110)):
         kept = []
-        for run in (run_ensemble, _run_generic):
+        for run in (lambda obs: run_ensemble(model, XI_JUMPS, cfg, 6, obs, eta=eta),
+                    lambda obs: replay(model, [XI_JUMPS, eta], cfg, 6, obs)):
             obs = observer()
-            run(model, XI_JUMPS, cfg, 6, obs, 0, eta)
+            run(obs)
             kept.append(obs.out["x"] if isinstance(obs, WindowRecorder)
                         else (obs.block_sums, obs.block_counts, obs.max_abs))
         if isinstance(kept[0], tuple):
@@ -341,11 +423,11 @@ def test_jump_kernel_stops_a_path_at_its_first_bad_node():
 
 def test_jump_kernel_shows_a_one_row_block_its_exact_window():
     # a block of one uncoupled path passes the path as an int and its window
-    # unpadded, as the per-path route does
+    # unpadded, as simulate's node rule reads it
     model = jump_linear(3.0, 1.0, 0.3, 5.0, UniformSigns(), PointConstant(0.73), 1.0)
     cfg = SimConfig(step=0.05, horizon=3.0, master_seed=7)
-    _, log = assert_jump_kernel_matches_simulate(model, [XI_JUMPS], cfg, 1, path_offset=3)
-    seen, _ = simulated_windows(model, [XI_JUMPS], cfg, 1, 3)
+    _, log = assert_kernel_matches_simulate(model, [XI_JUMPS], cfg, 1, path_offset=3)
+    seen, *_ = simulated_windows(model, [XI_JUMPS], cfg, 1, 3)
     assert [step for step, _ in log.calls] == list(range(61))
     assert all(shapes == [seen[0, step][0].shape] for step, shapes in log.calls)
 
@@ -365,7 +447,7 @@ def test_jump_kernel_across_path_blocks(monkeypatch):
         block(model, cfg, n_steps, hist, tables, p0, observer, outcome)
 
     monkeypatch.setattr(ensemble, "_jump_block", spy)
-    _, log = assert_jump_kernel_matches_simulate(model, [JUMP_ONES, XI_JUMPS], cfg, 7,
+    _, log = assert_kernel_matches_simulate(model, [JUMP_ONES, XI_JUMPS], cfg, 7,
                                                  path_offset=2)
     assert [(p0, rows) for p0, rows, _ in blocks] == [(0, 4), (2, 4), (4, 4), (6, 2)]
     assert all(nodes <= 450 for *_, nodes in blocks)
@@ -512,34 +594,34 @@ def test_outcome_counts_divergers_batch():
 
 @pytest.mark.parametrize("eta", [None, Segment.constant(np.array([0.5]), 1.0)],
                          ids=["single", "coupled"])
-def test_diverged_paths_read_the_same_on_both_routes(eta):
+def test_diverged_paths_read_as_on_simulate(eta):
     # one divergence rule: observers never see a path at or after its first
-    # bad step (here t = 8.1, step 810), on either route
+    # bad step (here t = 8.1, step 810), from the kernel or simulate
     model = linear_retarded(0.5, 3.0, 0.0, PointConstant(1.0), 1.0)
     cfg = SimConfig(step=0.01, horizon=10.0, divergence_guard=1e3)
     steps = [809, 810, 811, 1000]
     outs = []
-    for run in (run_ensemble, _run_generic):
+    for run in (lambda obs: run_ensemble(model, ONES, cfg, 2, obs, eta=eta).first_bad_time,
+                lambda obs: replay(model, [ONES] if eta is None else [ONES, eta], cfg, 2, obs)):
         rec = recorder(steps, 2)
-        out = run(model, ONES, cfg, 2, rec, 0, eta)
-        assert out.n_diverged == 2
-        assert np.all(out.first_bad_time == 8.1)
+        assert np.all(run(rec) == 8.1)
         outs.append(rec.out["x"])
     assert np.array_equal(outs[0], outs[1], equal_nan=True)
     assert outs[0][0, 0] == pytest.approx(992.61, abs=0.01)
     assert np.all(np.isnan(outs[0][:, 1:]))
 
 
-def test_integral_accumulator_stops_at_divergence_on_both_routes():
-    # the probe diverges at step 810; past a 500-step burn-in both routes
-    # record steps 501..809 and nothing after
+def test_integral_accumulator_stops_at_divergence_as_on_simulate():
+    # the probe diverges at step 810; past a 500-step burn-in the kernel and
+    # simulate's path record steps 501..809 and nothing after
     model = linear_retarded(0.5, 3.0, 0.0, PointConstant(1.0), 1.0)
     cfg = SimConfig(step=0.01, horizon=10.0, divergence_guard=1e3)
     accs = []
-    for run in (run_ensemble, _run_generic):
+    for run in (lambda obs: run_ensemble(model, ONES, cfg, 1, obs),
+                lambda obs: replay(model, [ONES], cfg, 1, obs)):
         acc = IntegralAccumulator(burn_steps=500, stride=1, fn=terminal_value,
                                   n_paths=1, n_records=500)
-        run(model, ONES, cfg, 1, acc, 0, None)
+        run(acc)
         accs.append(acc)
     batch, per_path = accs
     assert per_path.counts[0] == 309
@@ -572,14 +654,14 @@ DIVERGING = {
 }
 
 
-@pytest.mark.parametrize("run", [run_ensemble, _run_generic], ids=["batch", "per-path"])
+@pytest.mark.parametrize("hand", [False, True], ids=["built-in", "hand-rolled"])
 @pytest.mark.parametrize("case", DIVERGING.values(), ids=DIVERGING.keys())
 @pytest.mark.parametrize("n_paths", [1, 4])
-def test_no_runner_shows_a_diverged_path(case, run, n_paths):
+def test_no_kernel_shows_a_diverged_path(case, hand, n_paths):
     model, xi, eta = case
     cfg = SimConfig(step=0.05, horizon=8.0, master_seed=2, divergence_guard=50.0)
     probe = FiniteProbe()
-    out = run(model, xi, cfg, n_paths, probe, 0, eta)
+    out = run_ensemble(hand_rolled(model) if hand else model, xi, cfg, n_paths, probe, eta=eta)
     assert out.n_diverged == n_paths and probe.shown > 0
 
 
@@ -589,13 +671,15 @@ def test_no_runner_shows_a_diverged_path(case, run, n_paths):
     linear_retarded(3.0, 1.0, 2.0, PointConstant(1.0), 1.0),
     neutral_linear(0.25, PointConstant(0.73), 3.0, 0.5, 2.0, 1.0),
 ], ids=["retarded", "neutral"])
-def test_paths_diverging_apart_read_the_same_on_both_routes(model, eta):
+def test_paths_diverging_apart_read_as_on_simulate(model, eta):
     # a low guard under strong noise: paths leave the continuous kernel's
-    # block one by one, and the survivors step on bitwise as per path
+    # block one by one, and the survivors step on bitwise as under simulate
     cfg = SimConfig(step=0.05, horizon=6.0, master_seed=4, divergence_guard=2.5)
     n_paths, n_steps = 12, 120
     runs = []
-    for run in (run_ensemble, _run_generic):
+    for run in (lambda obs: run_ensemble(model, ONES, cfg, n_paths, obs, eta=eta).first_bad_time,
+                lambda obs: replay(model, [ONES] if eta is None else [ONES, eta], cfg, n_paths,
+                                   obs)):
         rec = every_state(n_steps, n_paths, 1)
         acc = IntegralAccumulator(20, 3, terminal_value, n_paths, 33)
 
@@ -604,19 +688,18 @@ def test_paths_diverging_apart_read_the_same_on_both_routes(model, eta):
                 rec.see_path(paths, step, *wins)
                 acc.see_path(paths, step, *wins)
 
-        out = run(model, ONES, cfg, n_paths, Both(), 0, eta)
-        runs.append((out, rec.out["x0"], acc.block_sums, acc.block_counts, acc.max_abs))
-    (out_b, *got_b), (out_g, *got_g) = runs
-    assert 0 < out_b.n_diverged < n_paths
-    assert np.array_equal(out_b.first_bad_time, out_g.first_bad_time, equal_nan=True)
-    assert all(np.array_equal(b, g, equal_nan=True) for b, g in zip(got_b, got_g))
+        first_bad = run(Both())
+        runs.append((first_bad, rec.out["x0"], acc.block_sums, acc.block_counts, acc.max_abs))
+    kernel, simulated = runs
+    assert 0 < np.count_nonzero(~np.isnan(kernel[0])) < n_paths
+    assert all(np.array_equal(a, b, equal_nan=True) for a, b in zip(kernel, simulated))
 
 
 @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
                             "ignore:invalid value:RuntimeWarning")
 def test_neutral_overflow_is_flagged_not_raised():
     # with no finite guard the state overflows inside the neutral solve; the
-    # NaN residual ends the solve and the path is flagged on both routes
+    # NaN residual ends the solve and the kernel flags the path as simulate does
     model = neutral_linear(0.25, PointConstant(1.0), 0.5, 3.0, 0.0, 1.0)
     cfg = SimConfig(step=0.1, horizon=1000.0, divergence_guard=math.inf)
     traj = simulate(model, ONES, cfg)
@@ -646,8 +729,8 @@ def test_run_ensemble_needs_a_path():
         run_ensemble(model, ONES, SimConfig(step=0.1, horizon=1.0), 0, recorder([0], 1))
 
 
-# one model per route: the retarded, neutral and jump kernels, and the
-# per-path route of a hand-rolled model
+# the retarded, neutral and jump kernels, and a hand-rolled model, which
+# the continuous kernel runs one path at a time
 ROUTE_MODELS = {
     "retarded": linear_retarded(3.0, 1.0, 0.5, PointConstant(1.0), 1.0),
     "neutral": neutral_linear(0.25, PointConstant(1.0), 3.0, 0.5, 0.5, 1.0),

@@ -352,10 +352,11 @@ def test_import_does_not_load_scipy_stats():
     src = os.path.dirname(os.path.dirname(os.path.abspath(sdelab.__file__)))
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
-    code = "import sys, sdelab; print('scipy.stats' in sys.modules)"
+    code = ("import sys, sdelab, sdelab.cli; "
+            "print('scipy.stats' in sys.modules, 'scipy.special' in sys.modules)")
     done = subprocess.run([sys.executable, "-c", code], capture_output=True,
                           text=True, timeout=120, check=True, env=env)
-    assert done.stdout.strip() == "False"
+    assert done.stdout.strip() == "False False"
 
 
 def test_moment_check_validation():
