@@ -212,8 +212,7 @@ def _run_kurtz(cfg, out, args):
 
 
 def _run_skorohod(cfg, out, args):
-    res = cfg.task_params["resolution"]
-    search = SearchParams(resolution=res) if res > 0 else None
+    search = SearchParams(resolution=cfg.task_params["resolution"])
     br = skorohod_distance(cfg.xi, cfg.eta, search)
     warp = homeomorphism_norm(br.time_change)
     _write(os.path.join(out, "skorohod.csv"),

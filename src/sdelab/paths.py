@@ -18,6 +18,7 @@ All values are vectors in R^n; norms are Euclidean.
 from __future__ import annotations
 
 import csv
+import functools
 import itertools
 import math
 from dataclasses import dataclass, field, replace
@@ -288,7 +289,7 @@ def _modulus_step(seg: Segment, delta: float) -> float:
 # time changes
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TimeChange:
     """Increasing piecewise-linear bijection of ``[-tau, 0]`` fixing endpoints."""
 
@@ -320,7 +321,10 @@ class TimeChange:
         return TimeChange(self.images, self.breakpoints)
 
 
+@functools.lru_cache(maxsize=16)
 def identity_time_change(tau: float) -> TimeChange:
+    """The identity of ``[-tau, 0]``; one shared (immutable) instance per
+    recent ``tau``."""
     return TimeChange(np.array([-tau, 0.0]), np.array([-tau, 0.0]))
 
 
@@ -353,14 +357,29 @@ class SearchParams:
     (about 1.3 MiB at m = 8 for 41-point segments).  A positive
     ``resolution`` turns on local coordinate-descent refinement of the best
     matching's interior images on a grid of that spacing (two passes).
+    ``lower_bound_levels`` is the number of warp norms r at which the lower
+    bound is evaluated.  A value the search cannot honour (a negative or
+    non-finite resolution, a negative or non-integer cap, fewer than one
+    level) raises ``DomainError``.
     """
 
     resolution: float = 0.0
     max_match_points: int = 8
     lower_bound_levels: int = 24
 
+    def __post_init__(self):
+        if not (self.resolution >= 0 and math.isfinite(self.resolution)):
+            raise DomainError(f"resolution must be finite and >= 0, got {self.resolution!r}")
+        if not (isinstance(self.max_match_points, (int, np.integer)) and self.max_match_points >= 0):
+            raise DomainError(f"max_match_points must be an integer >= 0, "
+                              f"got {self.max_match_points!r}")
+        if not (isinstance(self.lower_bound_levels, (int, np.integer))
+                and self.lower_bound_levels >= 1):
+            raise DomainError(f"lower_bound_levels must be an integer >= 1, "
+                              f"got {self.lower_bound_levels!r}")
 
-@dataclass(frozen=True)
+
+@dataclass(frozen=True, slots=True)
 class DistanceBracket:
     """Bracket ``lower <= d_S <= upper <= sup-distance`` plus the best warp found."""
 
@@ -494,10 +513,9 @@ def skorohod_distance(xi: Segment, eta: Segment, search: SearchParams | None = N
     if search is None:
         search = SearchParams()
     tau = max(xi.tau, eta.tau)
-    ident = identity_time_change(tau)
     sup_d = uniform_distance(xi, eta)
     if sup_d == 0.0:
-        return DistanceBracket(0.0, 0.0, 0.0, ident, 1)
+        return DistanceBracket(0.0, 0.0, 0.0, identity_time_change(tau), 1)
 
     # candidates stay raw (breakpoints, images) arrays; only the kept one
     # becomes a TimeChange
@@ -535,7 +553,7 @@ def skorohod_distance(xi: Segment, eta: Segment, search: SearchParams | None = N
 
     upper = min(best_obj, sup_d)
     lower = _lower_bound(xi, eta, tau, upper, search.lower_bound_levels)
-    best_tc = ident if best_warp is None else TimeChange(*best_warp)
+    best_tc = identity_time_change(tau) if best_warp is None else TimeChange(*best_warp)
     return DistanceBracket(min(lower, upper), upper, sup_d, best_tc, n_cand)
 
 
@@ -572,52 +590,98 @@ def _refine(xi, eta, warp, best_obj, best_hn, search):
     return best_obj, best_hn, (bp, im)
 
 
-# cap on (times x grid points) per ``_window_inf`` call: bounds the
-# temporaries for long segments without changing any result
+# cap on (rows x table cells) and (rows x levels) per block of
+# ``_lower_bound``: bounds the temporaries for long segments and many levels
+# without changing any result
 _WINDOW_BLOCK = 1 << 15
 
 
-def _window_inf(points: np.ndarray, eta: Segment, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
-    """inf over s in [lo[j], hi[j]] (clipped to the window) of |points[j] - eta(s)|,
-    for all rows j at once.
+def _chord_dists(points: np.ndarray, eta: Segment, j: np.ndarray, lo, hi) -> np.ndarray:
+    """|points - nearest point of eta's linear piece j clipped to [lo, hi]|,
+    broadcast over the leading axes of ``points`` (values on the last) and of
+    ``j``, ``lo`` and ``hi``.
 
-    Each infimum is still taken over a closed, piece-aligned superset of its
+    With ``lo = -inf`` and ``hi = inf`` the weights are exactly 0 and 1, as
+    they are for a piece that lies wholly inside a finite window, so whole
+    pieces measure bitwise as such a window measures them.
+    """
+    grid, vals = eta.grid, eta.values
+    g0, g1 = grid[j], grid[j + 1]
+    w0 = ((np.maximum(g0, lo) - g0) / (g1 - g0))[..., None]
+    w1 = ((np.minimum(g1, hi) - g0) / (g1 - g0))[..., None]
+    y0 = (1 - w0) * vals[j] + w0 * vals[j + 1]
+    y1 = (1 - w1) * vals[j] + w1 * vals[j + 1]
+    d = y1 - y0
+    dd = (d ** 2).sum(axis=-1)
+    dot = ((points - y0) * d).sum(axis=-1)
+    # a degenerate chord (dd == 0) projects onto y0
+    u = np.divide(dot, dd, out=np.zeros_like(dot), where=dd != 0.0)
+    u = np.minimum(1.0, np.maximum(0.0, u))
+    return _norms(points - (y0 + u[..., None] * d))
+
+
+def _range_min(table: np.ndarray, first: np.ndarray, last: np.ndarray) -> np.ndarray:
+    """``min(table[j, first[l, j]:last[l, j] + 1])`` for every (l, j), inf
+    where the range is empty.
+
+    The nonempty ranges of one row must be nested, as the ranges of windows
+    centred on one time are.  Then the largest of their starts lies in all
+    of them, and each min is that of a suffix-min to its left and a
+    prefix-min to its right.
+    """
+    rows, cells = table.shape
+    nonempty = first <= last
+    split = np.where(nonempty, first, 0).max(axis=0)[:, None]
+    col = np.arange(cells)
+    left = np.where(col <= split, table, math.inf)
+    left = np.minimum.accumulate(left[:, ::-1], axis=1)[:, ::-1]
+    right = np.minimum.accumulate(np.where(col >= split, table, math.inf), axis=1)
+    row = np.arange(rows)
+    out = np.minimum(left[row, np.minimum(first, cells - 1)], right[row, np.maximum(last, 0)])
+    return np.where(nonempty, out, math.inf)
+
+
+def _window_infs(points: np.ndarray, eta: Segment, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """inf over s in [lo[l, j], hi[l, j]] of |points[j] - eta(s)|, for every
+    window (l, j) at once.  The windows are clipped to eta's window, and
+    those of one point are nested (all centred on its time).
+
+    Each infimum is taken over a closed, piece-aligned superset of its
     window: every whole step interval, or every linear piece clipped to the
     window, that meets the closed window.  So no entry exceeds the true
-    infimum, which keeps the lower bound valid.
+    infimum, which keeps the lower bound valid.  The distances to whole
+    intervals and pieces do not depend on the window, so they are computed
+    once for all windows; only the (at most two) pieces a window cuts are
+    measured per window.
     """
-    lo = np.maximum(lo, -eta.tau)
-    hi = np.minimum(hi, 0.0)
-    lo = np.minimum(lo, hi)
-    grid, vals = eta.grid, eta.values
+    grid = eta.grid
     if eta.kind is SegmentKind.CADLAG_STEP:
-        # interval i carries vals[i] on [grid[i], rights[i]]; left limits at
-        # covered grid points are earlier interval values, already included
-        # through the overlap test
-        rights = np.append(grid[1:], 0.0)
-        sel = (grid <= hi[:, None]) & (rights >= lo[:, None])
-        empty = ~sel.any(axis=1)
+        # interval i carries vals[i] on [grid[i], grid[i + 1]] (the last is
+        # {0}); left limits at covered grid points are earlier interval
+        # values, already included through the overlap test.  Only a window
+        # left of eta's (windows may differ by 1e-9 tau) meets no interval;
+        # it takes the first, which every wider window of its time covers
+        first = np.searchsorted(grid[1:], lo)
+        last = np.searchsorted(grid, hi, side="right") - 1
+        empty = first > last
         if empty.any():
-            nearest = np.minimum(np.searchsorted(grid, lo[empty]), grid.size - 1)
-            sel[np.flatnonzero(empty), nearest] = True
-        dist = _norms(vals[None, :, :] - points[:, None, :])
-        return np.where(sel, dist, math.inf).min(axis=1)
-    # linear kind: (times x pieces) projection of each point onto the piece's
-    # chord over [max(g0, lo), min(g1, hi)]; pieces that miss it are masked
+            nearest = np.minimum(np.searchsorted(grid, lo), grid.size - 1)
+            first = np.where(empty, nearest, first)
+            last = np.where(empty, nearest, last)
+        return _range_min(_norms(eta.values[None, :, :] - points[:, None, :]), first, last)
+    # linear kind: pieces wholly inside the window, then the piece cut at
+    # each end (the same piece if the window lies inside it)
     g0, g1 = grid[:-1], grid[1:]
-    meets = ~((g1 < lo[:, None]) | (g0 > hi[:, None]))
-    w0 = ((np.maximum(g0, lo[:, None]) - g0) / (g1 - g0))[:, :, None]
-    w1 = ((np.minimum(g1, hi[:, None]) - g0) / (g1 - g0))[:, :, None]
-    y0 = (1 - w0) * vals[:-1] + w0 * vals[1:]
-    y1 = (1 - w1) * vals[:-1] + w1 * vals[1:]
-    d = y1 - y0
-    dd = (d ** 2).sum(axis=2)
-    # a degenerate chord (dd == 0) projects onto y0
-    u = np.divide(((points[:, None, :] - y0) * d).sum(axis=2), dd,
-                  out=np.zeros_like(dd), where=dd != 0.0)
-    u = np.minimum(1.0, np.maximum(0.0, u))
-    dist = _norms(points[:, None, :] - (y0 + u[:, :, None] * d))
-    return np.where(meets, dist, math.inf).min(axis=1)
+    whole = _chord_dists(points[:, None, :], eta, np.arange(g0.size), -math.inf, math.inf)
+    first = np.searchsorted(g0, lo)
+    last = np.searchsorted(g1, hi, side="right") - 1
+    best = _range_min(whole, first, last)
+    n = g0.size
+    lo_cut, hi_cut = np.maximum(first - 1, 0), np.minimum(last + 1, n - 1)
+    # a window left of eta's meets no piece, so its infimum stays inf
+    for j, cut in ((lo_cut, first > 0), (hi_cut, (last + 1 < n) & (g0[hi_cut] <= hi))):
+        best = np.minimum(best, np.where(cut, _chord_dists(points, eta, j, lo, hi), math.inf))
+    return best
 
 
 def _lower_bound(xi: Segment, eta: Segment, tau: float, upper: float, levels: int) -> float:
@@ -626,8 +690,10 @@ def _lower_bound(xi: Segment, eta: Segment, tau: float, upper: float, levels: in
     set (any finite set gives a valid lower bound).
 
     Each level takes the max of the window infima over all candidate times.
-    A scan could stop once that running max reaches r, but the full max is
-    then >= r too, so the level's term min(r, D) is r either way.
+    All levels are measured in one pass over the candidate times, so every
+    distance that does not depend on the window is computed once per pair.
+    A scan could stop once a level's running max reaches r, but the full
+    max is then >= r too, so the level's term min(r, D) is r either way.
     """
     if upper <= 0:
         return 0.0
@@ -639,14 +705,18 @@ def _lower_bound(xi: Segment, eta: Segment, tau: float, upper: float, levels: in
     right, left = evaluate_many(xi, ts)
     points = np.concatenate([right, left])
     times = np.concatenate([ts, ts])
-    rows = max(1, _WINDOW_BLOCK // eta.grid.size)
-    blocks = [slice(a, a + rows) for a in range(0, times.size, rows)]
+    rs = np.linspace(upper / levels, upper, levels).tolist()
+    ws = np.array([tau * math.expm1(r) for r in rs])[:, None]
+    rows = max(1, _WINDOW_BLOCK // max(eta.grid.size, levels))
+    dmax = np.zeros(levels)
+    for a in range(0, times.size, rows):
+        t = times[a:a + rows]
+        hi = np.minimum(t + ws, 0.0)
+        lo = np.minimum(np.maximum(t - ws, -eta.tau), hi)
+        dmax = np.maximum(dmax, _window_infs(points[a:a + rows], eta, lo, hi).max(axis=1))
     best = 0.0
-    for r in np.linspace(upper / levels, upper, levels):
-        w = tau * math.expm1(r)
-        dmax = max(float(_window_inf(points[b], eta, times[b] - w, times[b] + w).max())
-                   for b in blocks)
-        best = max(best, min(r, dmax))
+    for r, d in zip(rs, dmax.tolist()):
+        best = max(best, min(r, d))
     return best
 
 

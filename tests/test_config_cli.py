@@ -567,6 +567,17 @@ def test_negative_path_index_exits_2(tmp_path, capsys):
     assert "path_index" in match.group(0)
 
 
+def test_negative_skorohod_resolution_exits_2(tmp_path, capsys):
+    # the config reader refuses non-finite numbers; SearchParams refuses this one
+    text = ("[task]\nname = skorohod\nspace = step\nresolution = -0.5\n"
+            "[initial]\nkind = constant\nvalue = 1\ntau = 1\n"
+            "[initial2]\nkind = constant\nvalue = 2\ntau = 1\n[output]\ndir = out\n")
+    assert main(["skorohod", "--config", write_config(tmp_path, text)]) == 2
+    match = ERROR_LINE.search(capsys.readouterr().err)
+    assert match and match.group(1) == "2" and match.group(2) == "DomainError"
+    assert "resolution" in match.group(0)
+
+
 @pytest.mark.parametrize("lines, where", [
     (["theta,v1,jump", "-1,abc,0", "0,1,0"], "row 2: could not convert string to float: 'abc'"),
     (["theta,v1,jump", "-1,1,0", "0,1"], "row 3: 2 cells under a header of 3"),

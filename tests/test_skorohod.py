@@ -20,8 +20,10 @@ from sdelab.paths import (
     _REFINE_PASSES,
     _critical_points,
     _lower_bound,
+    _norms,
     _warped_distances,
     evaluate_many,
+    identity_time_change,
 )
 
 from helpers import indicator_step, random_step_segment
@@ -29,6 +31,10 @@ from helpers import indicator_step, random_step_segment
 LOG_125 = math.log(1.25)
 # tracemalloc peak of one bracket at the default search (measured: 1.3 MiB)
 PEAK_MIB = 4
+# tracemalloc peak of the lower bound of two 4 000-point step segments at 24
+# levels (measured: 2.8 MiB; one unblocked (times x intervals) table of that
+# pair would take 0.7 GiB)
+LONG_PEAK_MIB = 6
 
 
 def brute_force_indicator_distance(jump_a, jump_b, n=241):
@@ -339,3 +345,172 @@ def test_eight_kinks_a_side_stay_within_their_memory_bound():
         tracemalloc.stop()
     assert br.n_candidates == 12_870
     assert peak < PEAK_MIB * 2**20
+
+
+def test_bracket_numbers_are_python_floats():
+    rng = np.random.default_rng(21)
+    a, b = random_step_segment(rng), random_step_segment(rng)
+    c, d = random_linear_segment(rng, 2, 4), random_linear_segment(rng, 2, 4)
+    for x, y in ((a, b), (c, d), (a, a)):
+        br = skorohod_distance(x, y)
+        assert [type(v) for v in (br.lower, br.upper, br.sup_distance)] == [float] * 3
+
+
+def test_brackets_share_one_read_only_identity_per_window():
+    rng = np.random.default_rng(22)
+    a = random_step_segment(rng)
+    ident = skorohod_distance(a, a).time_change
+    assert ident is identity_time_change(1.0)
+    assert not (ident.breakpoints.flags.writeable or ident.images.flags.writeable)
+    with pytest.raises(AttributeError):
+        ident.breakpoints = np.array([-1.0, 0.0])
+    # slotted records keep no per-instance dict
+    assert not hasattr(ident, "__dict__")
+    assert not hasattr(skorohod_distance(a, a), "__dict__")
+
+
+@pytest.mark.parametrize("kwargs", [
+    {"lower_bound_levels": 0},
+    {"lower_bound_levels": -2},
+    {"lower_bound_levels": 2.5},
+    {"max_match_points": -1},
+    {"max_match_points": 1.5},
+    {"resolution": -0.5},
+    {"resolution": math.nan},
+    {"resolution": math.inf},
+], ids=lambda kw: "-".join(f"{k}={v}" for k, v in kw.items()))
+def test_search_params_refuse_values_they_cannot_honour(kwargs):
+    with pytest.raises(DomainError):
+        SearchParams(**kwargs)
+
+
+def test_search_params_take_numpy_integers_and_zero_caps():
+    params = SearchParams(max_match_points=np.int64(0), lower_bound_levels=np.int32(1))
+    rng = np.random.default_rng(23)
+    a, b = random_step_segment(rng), random_step_segment(rng)
+    br = skorohod_distance(a, b, params)
+    # a zero cap leaves the identity as the only candidate
+    assert br.n_candidates == 1
+    assert br.upper == br.sup_distance
+
+
+# ---------------------------------------------------------------------------
+# lower bound: the one-pass levels against the per-level window loop
+# ---------------------------------------------------------------------------
+
+def _ref_window_inf(points, eta, lo, hi):
+    """inf over s in [lo[j], hi[j]] of |points[j] - eta(s)|, one window per
+    row, every distance computed for this window alone."""
+    lo = np.maximum(lo, -eta.tau)
+    hi = np.minimum(hi, 0.0)
+    lo = np.minimum(lo, hi)
+    grid, vals = eta.grid, eta.values
+    if eta.kind is SegmentKind.CADLAG_STEP:
+        rights = np.append(grid[1:], 0.0)
+        sel = (grid <= hi[:, None]) & (rights >= lo[:, None])
+        empty = ~sel.any(axis=1)
+        if empty.any():
+            nearest = np.minimum(np.searchsorted(grid, lo[empty]), grid.size - 1)
+            sel[np.flatnonzero(empty), nearest] = True
+        dist = _norms(vals[None, :, :] - points[:, None, :])
+        return np.where(sel, dist, math.inf).min(axis=1)
+    g0, g1 = grid[:-1], grid[1:]
+    meets = ~((g1 < lo[:, None]) | (g0 > hi[:, None]))
+    w0 = ((np.maximum(g0, lo[:, None]) - g0) / (g1 - g0))[:, :, None]
+    w1 = ((np.minimum(g1, hi[:, None]) - g0) / (g1 - g0))[:, :, None]
+    y0 = (1 - w0) * vals[:-1] + w0 * vals[1:]
+    y1 = (1 - w1) * vals[:-1] + w1 * vals[1:]
+    d = y1 - y0
+    dd = (d ** 2).sum(axis=2)
+    u = np.divide(((points[:, None, :] - y0) * d).sum(axis=2), dd,
+                  out=np.zeros_like(dd), where=dd != 0.0)
+    u = np.minimum(1.0, np.maximum(0.0, u))
+    dist = _norms(points[:, None, :] - (y0 + u[:, :, None] * d))
+    return np.where(meets, dist, math.inf).min(axis=1)
+
+
+def reference_lower_bound(xi, eta, tau, upper, levels):
+    """The lower bound one level at a time."""
+    if upper <= 0:
+        return 0.0
+    mids = 0.5 * (xi.grid[:-1] + xi.grid[1:])
+    ts = np.unique(np.concatenate([xi.grid, eta.grid, mids]))
+    ts = np.minimum(0.0, np.maximum(ts, -xi.tau))
+    right, left = evaluate_many(xi, ts)
+    points = np.concatenate([right, left])
+    times = np.concatenate([ts, ts])
+    best = 0.0
+    for r in np.linspace(upper / levels, upper, levels):
+        w = tau * math.expm1(r)
+        best = max(best, min(r, float(_ref_window_inf(points, eta, times - w, times + w).max())))
+    return best
+
+
+def lower_bound_pairs():
+    rng = np.random.default_rng(18)
+    pairs = []
+    for dim in (1, 2):
+        pairs += [(random_step_segment(rng, dim=dim), random_step_segment(rng, dim=dim))
+                  for _ in range(6)]
+        pairs += [(random_linear_segment(rng, dim, 6), random_linear_segment(rng, dim, 6))
+                  for _ in range(6)]
+    # coarse grids, so candidate times and window ends land on grid points
+    grid = np.array([-1.0, -0.75, -0.5, -0.25, 0.0])
+    for kind in SegmentKind:
+        pairs.append((Segment(kind, grid, rng.uniform(-1, 1, (5, 2))),
+                      Segment(kind, grid[[0, 2, 4]], rng.uniform(-1, 1, (3, 2)))))
+    return pairs
+
+
+def mismatched_pairs():
+    """Windows 1 + 5e-10 and 1, both kinds: the candidate times left of eta's
+    window see no part of it while w < 5e-10.  The last two pairs are one
+    constant on both windows, so what those windows return decides the
+    bound."""
+    rng = np.random.default_rng(19)
+    wide, narrow = 1.0 + 5e-10, 1.0
+    pairs = [(random_step_segment(rng, tau=wide), random_step_segment(rng, tau=narrow)),
+             (random_linear_segment(rng, 1, 4, tau=wide),
+              random_linear_segment(rng, 1, 4, tau=narrow))]
+    for kind in SegmentKind:
+        pairs.append((Segment.constant(0.3, wide, kind), Segment.constant(0.3, narrow, kind)))
+    return pairs
+
+
+@pytest.mark.parametrize("levels", [1, 4, 24])
+@pytest.mark.parametrize("upper", [1e-12, 0.05, 0.7, 3.0])
+def test_lower_bound_equals_the_per_level_loop_bitwise(levels, upper):
+    for xi, eta in lower_bound_pairs() + mismatched_pairs():
+        tau = max(xi.tau, eta.tau)
+        assert _lower_bound(xi, eta, tau, upper, levels) == reference_lower_bound(
+            xi, eta, tau, upper, levels)
+
+
+def test_mismatched_windows_reach_the_empty_window_path():
+    # the step kind falls back to eta's first interval there, and the linear
+    # kind meets no piece (an infinite window infimum), so on one constant
+    # the step kind scores 0 and the linear kind scores every level's r
+    for xi, eta in mismatched_pairs():
+        w = xi.tau * math.expm1(1e-12)
+        assert -xi.tau + w < -eta.tau
+        got = _lower_bound(xi, eta, xi.tau, 1e-12, 4)
+        assert got == reference_lower_bound(xi, eta, xi.tau, 1e-12, 4)
+    linear, step = mismatched_pairs()[2:]
+    assert _lower_bound(*step, step[0].tau, 1e-12, 4) == 0.0
+    assert _lower_bound(*linear, linear[0].tau, 1e-12, 4) == 1e-12
+
+
+def test_lower_bound_of_long_segments_stays_within_its_memory_bound():
+    rng = np.random.default_rng(4000)
+    grids = [np.concatenate([[-1.0], np.sort(rng.uniform(-0.999, -0.001, 3998)), [0.0]])
+             for _ in range(2)]
+    a, b = (Segment(SegmentKind.CADLAG_STEP, g, rng.uniform(-1.0, 1.0, (4000, 1)))
+            for g in grids)
+    tracemalloc.start()
+    try:
+        lower = _lower_bound(a, b, 1.0, 1.0, 24)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert 0.0 < lower <= 1.0
+    assert peak < LONG_PEAK_MIB * 2**20
